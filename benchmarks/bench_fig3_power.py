@@ -25,7 +25,7 @@ def test_cogen_of_power(benchmark, table):
     modules = benchmark(cogen_program, analysis)
     src = modules[0].source
     assert "def mk_power(st, t, u, n, x):" in src
-    assert "rt.mk_resid(st, t, _QUAL + 'power', (t, u), (n, x)," in src
+    assert "    return rt.mk_resid(st, _QUAL + 'power', (t, u), (n, x), " in src
     table(
         "Fig. 3 — cogen output for power",
         ["metric", "value"],

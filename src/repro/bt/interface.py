@@ -54,7 +54,7 @@ SUPPORTED_FORMATS = (1, 2)
 # Bumping this invalidates every cached artifact (interfaces, genext
 # sources, code objects) — do so whenever the analysis or the cogen
 # changes what it produces for the same input.
-CACHE_EPOCH = 2
+CACHE_EPOCH = 3
 
 
 class InterfaceError(Exception):

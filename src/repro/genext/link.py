@@ -15,8 +15,23 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.genext.cogen import GenextModule
-from repro.genext.runtime import SpecState
+from repro.genext.runtime import ABI, SpecState
 from repro.modsys.graph import ModuleGraph
+
+
+class GenextABIError(ValueError):
+    """A generating extension was generated for another runtime calling
+    convention (:data:`repro.genext.runtime.ABI`); regenerate it."""
+
+
+def _check_abi(name, namespace):
+    abi = namespace.get("_RT_ABI", 1)
+    if abi != ABI:
+        raise GenextABIError(
+            "generating extension %s was generated for runtime ABI %r, "
+            "but this runtime is ABI %d; regenerate it with the current "
+            "cogen" % (name, abi, ABI)
+        )
 
 
 @dataclass
@@ -154,6 +169,7 @@ def load_genext(genext_module, filename=None, code=None):
         )
     namespace = {"__name__": "genext_%s" % genext_module.name}
     exec(code, namespace)
+    _check_abi(genext_module.name, namespace)
     return LoadedModule(
         genext_module.name,
         genext_module.imports,
@@ -201,6 +217,7 @@ def load_genext_dir(directory):
         code = compile(source, "%s.genext.py" % name, "exec")
         ns = {"__name__": "genext_%s" % name}
         exec(code, ns)
+        _check_abi(name, ns)
         namespaces[name] = ns
     module_of = {}
     for name, ns in namespaces.items():

@@ -23,15 +23,31 @@ Specialisation-time values (:class:`PE`) mirror the binding-time types:
 ``mk_resid``
 ------------
 
-The exact shape of Fig. 3: it receives the (evaluated) unfold binding
-time, an identification triple ``(name, binding-times, arguments)``, a
-thunk giving the result of unfolding the call, and a function building
-the body of a new specialised version from fresh formal parameters.  The
-first time a triple is seen it allocates a residual name, *places* the
-specialisation in a residual module (before the body exists, from the
-free function names of the call), and schedules the body for
-construction — on the pending list (breadth-first, the paper's choice)
-or immediately (depth-first, kept for the space-consumption comparison).
+The residualising half of Fig. 3's ``mk-resid``: it receives an
+identification triple ``(name, binding-times, arguments)`` and a
+function building the body of a new specialised version from fresh
+formal parameters.  The first time a triple is seen it allocates a
+residual name, *places* the specialisation in a residual module (before
+the body exists, from the free function names of the call), and
+schedules the body for construction — on the pending list
+(breadth-first, the paper's choice) or immediately (depth-first, kept
+for the space-consumption comparison).
+
+The unfolding half is compiled into each ``mk_f`` by the cogen: under a
+static unfold binding time, ``mk_f`` calls :func:`unfold` (the deadline
+check and the counter) and then the body generator directly, with no
+thunk.
+
+Generating primitives
+---------------------
+
+:data:`PRIM_GEN` holds one generating version per primitive, called as
+``prim_add(st, bt, x, y)``.  The cogen emits direct calls to them, so a
+generating extension never dispatches on an operation name.  Each entry
+first tries a fast path on exact types (a static ``SBase`` over a plain
+``int``) and otherwise falls through to the general checks, whose
+errors are those of the object language's own primitives
+(:func:`~repro.lang.prims.apply_prim`).
 """
 
 import sys
@@ -53,6 +69,13 @@ _DC_SLOTS = {"frozen": True}
 if sys.version_info >= (3, 10):
     _DC_SLOTS["slots"] = True
 
+# The calling convention between generated code and this module.  The
+# cogen records it in every generating extension as ``_RT_ABI``, and the
+# loaders in :mod:`repro.genext.link` refuse a module recorded under any
+# other value (one generated before the constant existed counts as 1).
+# Bump it whenever a change here breaks a call older generated code makes.
+ABI = 2
+
 # The ``rt.lub`` of generated code.  Generated code only ever passes
 # concrete S/D operands, for which :func:`~repro.bt.bt.bt_lub` returns
 # the shared singletons on an allocation-free path — measurably cheaper
@@ -60,10 +83,12 @@ if sys.version_info >= (3, 10):
 lub = bt_lub
 
 __all__ = [
+    "ABI",
     "BT",
     "D",
     "DCode",
     "PE",
+    "PRIM_GEN",
     "S",
     "SBase",
     "SClo",
@@ -92,6 +117,7 @@ __all__ = [
     "mk_resid",
     "nil",
     "to_python",
+    "unfold",
 ]
 
 
@@ -664,18 +690,29 @@ def _make_def(name, params, body):
 # ---------------------------------------------------------------------------
 
 
-def mk_resid(st, unfold, fname, bts, args, unfolded, build):
-    """Create a specialised call of ``fname`` (Fig. 3's ``mk-resid``).
+def unfold(st):
+    """Account for one unfolded call: the static half of Fig. 3's
+    ``mk-resid``, which the cogen inlines into every ``mk_f``.
 
-    ``unfold`` is the callee's evaluated unfold binding time: static
-    means the call is unfolded (``unfolded`` is forced), dynamic means a
-    residual version is looked up or created and a residual call
-    returned.
+    Runs the deadline check every call passes through and counts the
+    unfold.  Returns ``st``, so a generated ``mk_f`` passes the result
+    straight on to its body generator:
+    ``return mk_f_body(rt.unfold(st), ...)``."""
+    st.check_deadline()
+    st.stats.unfolds += 1
+    return st
+
+
+def mk_resid(st, fname, bts, args, build):
+    """Create a residual call of ``fname`` (Fig. 3's ``mk-resid`` under
+    a dynamic unfold binding time).
+
+    ``(fname, bts, args)`` is the identification triple: a residual
+    version is looked up or created for it, and a residual call to that
+    version returned.  ``build`` builds a new version's body from its
+    fresh formal parameters.
     """
     st.check_deadline()
-    if not unfold.dyn:
-        st.stats.unfolds += 1
-        return unfolded()
     splits = [
         _split(a, hint)
         for a, hint in zip(args, _param_hints(st, fname, len(args)))
@@ -728,59 +765,39 @@ def _param_hints(st, fname, nargs):
 def mk_if(st, bt, cond, then_thunk, else_thunk):
     """Generating version of the conditional."""
     if not bt.dyn:
-        test = cond
-        if not isinstance(test, SBase) or not isinstance(test.value, bool):
-            raise SpecError("static conditional on non-boolean %r" % (test,))
-        return then_thunk() if test.value else else_thunk()
+        if type(cond) is SBase:
+            if cond.value is True:
+                return then_thunk()
+            if cond.value is False:
+                return else_thunk()
+        raise SpecError("static conditional on non-boolean %r" % (cond,))
     return DCode(
         If(code_of(cond), code_of(then_thunk()), code_of(else_thunk()))
     )
 
 
 def mk_prim(st, op, bt, args):
-    """Generating version of a primitive operation."""
+    """Generating version of primitive ``op``, looked up by name (the
+    interpretive specialisers' entry; generated code calls the
+    :data:`PRIM_GEN` entries directly)."""
+    return PRIM_GEN[op](st, bt, *args)
+
+
+# Static results of the comparisons and boolean operations.
+_TRUE = SBase(True)
+_FALSE = SBase(False)
+
+
+def _residual(op, args):
+    return DCode(Prim(op, tuple(code_of(a) for a in args)))
+
+
+def _general(op, bt, args):
+    """The general path of a base-value primitive, taken when its fast
+    path does not apply: residual code under a dynamic binding time,
+    otherwise the object language's own checks and errors."""
     if bt.dyn:
-        return DCode(Prim(op, tuple(code_of(a) for a in args)))
-    return _static_prim(op, args)
-
-
-def _static_prim(op, args):
-    if op == "cons":
-        head, tail = args
-        if not isinstance(tail, SList):
-            raise SpecError("static 'cons' onto non-static list")
-        return SList((head,) + tail.items)
-    if op == "head":
-        (xs,) = args
-        if not isinstance(xs, SList):
-            raise SpecError("static 'head' of non-static list")
-        if not xs.items:
-            raise SpecError("head of empty list during specialisation")
-        return xs.items[0]
-    if op == "tail":
-        (xs,) = args
-        if not isinstance(xs, SList):
-            raise SpecError("static 'tail' of non-static list")
-        if not xs.items:
-            raise SpecError("tail of empty list during specialisation")
-        return SList(xs.items[1:])
-    if op == "null":
-        (xs,) = args
-        if not isinstance(xs, SList):
-            raise SpecError("static 'null' of non-static list")
-        return SBase(xs.items == ())
-    if op == "pair":
-        return SPair(args[0], args[1])
-    if op == "fst":
-        (p,) = args
-        if not isinstance(p, SPair):
-            raise SpecError("static 'fst' of non-static pair")
-        return p.fst
-    if op == "snd":
-        (p,) = args
-        if not isinstance(p, SPair):
-            raise SpecError("static 'snd' of non-static pair")
-        return p.snd
+        return _residual(op, args)
     values = []
     for a in args:
         if not isinstance(a, SBase):
@@ -790,6 +807,179 @@ def _static_prim(op, args):
         return SBase(apply_prim(op, values))
     except PrimError as e:
         raise SpecError("primitive failed during specialisation: %s" % e)
+
+
+# Each entry's fast path needs a static operation on operands of the
+# exact type (``bool`` is not a natural, and an ``int`` subclass takes
+# the general path); its result equals that of the general path, which
+# raises the errors.
+
+
+def prim_add(st, bt, x, y):
+    if not bt.dyn and type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is int and type(b) is int:
+            return SBase(a + b)
+    return _general("+", bt, (x, y))
+
+
+def prim_sub(st, bt, x, y):
+    if not bt.dyn and type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is int and type(b) is int:
+            return SBase(a - b if a > b else 0)  # monus
+    return _general("-", bt, (x, y))
+
+
+def prim_mul(st, bt, x, y):
+    if not bt.dyn and type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is int and type(b) is int:
+            return SBase(a * b)
+    return _general("*", bt, (x, y))
+
+
+def prim_div(st, bt, x, y):
+    if not bt.dyn and type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is int and type(b) is int and b:
+            return SBase(a // b)
+    return _general("div", bt, (x, y))
+
+
+def prim_mod(st, bt, x, y):
+    if not bt.dyn and type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is int and type(b) is int and b:
+            return SBase(a % b)
+    return _general("mod", bt, (x, y))
+
+
+def prim_eq(st, bt, x, y):
+    if not bt.dyn and type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is int and type(b) is int:
+            return _TRUE if a == b else _FALSE
+    return _general("==", bt, (x, y))
+
+
+def prim_lt(st, bt, x, y):
+    if not bt.dyn and type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is int and type(b) is int:
+            return _TRUE if a < b else _FALSE
+    return _general("<", bt, (x, y))
+
+
+def prim_le(st, bt, x, y):
+    if not bt.dyn and type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is int and type(b) is int:
+            return _TRUE if a <= b else _FALSE
+    return _general("<=", bt, (x, y))
+
+
+def prim_and(st, bt, x, y):
+    if not bt.dyn and type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is bool and type(b) is bool:
+            return _TRUE if a and b else _FALSE
+    return _general("and", bt, (x, y))
+
+
+def prim_or(st, bt, x, y):
+    if not bt.dyn and type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is bool and type(b) is bool:
+            return _TRUE if a or b else _FALSE
+    return _general("or", bt, (x, y))
+
+
+def prim_not(st, bt, x):
+    if not bt.dyn and type(x) is SBase and type(x.value) is bool:
+        return _FALSE if x.value else _TRUE
+    return _general("not", bt, (x,))
+
+
+def prim_cons(st, bt, x, xs):
+    if not bt.dyn and type(xs) is SList:
+        return SList((x,) + xs.items)
+    if bt.dyn:
+        return _residual("cons", (x, xs))
+    raise SpecError("static 'cons' onto non-static list")
+
+
+def prim_head(st, bt, xs):
+    if not bt.dyn and type(xs) is SList and xs.items:
+        return xs.items[0]
+    if bt.dyn:
+        return _residual("head", (xs,))
+    if not isinstance(xs, SList):
+        raise SpecError("static 'head' of non-static list")
+    raise SpecError("head of empty list during specialisation")
+
+
+def prim_tail(st, bt, xs):
+    if not bt.dyn and type(xs) is SList and xs.items:
+        return SList(xs.items[1:])
+    if bt.dyn:
+        return _residual("tail", (xs,))
+    if not isinstance(xs, SList):
+        raise SpecError("static 'tail' of non-static list")
+    raise SpecError("tail of empty list during specialisation")
+
+
+def prim_null(st, bt, xs):
+    if not bt.dyn and type(xs) is SList:
+        return _FALSE if xs.items else _TRUE
+    if bt.dyn:
+        return _residual("null", (xs,))
+    raise SpecError("static 'null' of non-static list")
+
+
+def prim_pair(st, bt, x, y):
+    if bt.dyn:
+        return _residual("pair", (x, y))
+    return SPair(x, y)
+
+
+def prim_fst(st, bt, p):
+    if not bt.dyn and type(p) is SPair:
+        return p.fst
+    if bt.dyn:
+        return _residual("fst", (p,))
+    raise SpecError("static 'fst' of non-static pair")
+
+
+def prim_snd(st, bt, p):
+    if not bt.dyn and type(p) is SPair:
+        return p.snd
+    if bt.dyn:
+        return _residual("snd", (p,))
+    raise SpecError("static 'snd' of non-static pair")
+
+
+# The generating version of every primitive of ``repro.lang.prims.PRIMS``.
+PRIM_GEN = {
+    "or": prim_or,
+    "and": prim_and,
+    "==": prim_eq,
+    "<": prim_lt,
+    "<=": prim_le,
+    "cons": prim_cons,
+    "+": prim_add,
+    "-": prim_sub,
+    "*": prim_mul,
+    "div": prim_div,
+    "mod": prim_mod,
+    "not": prim_not,
+    "head": prim_head,
+    "tail": prim_tail,
+    "null": prim_null,
+    "pair": prim_pair,
+    "fst": prim_fst,
+    "snd": prim_snd,
+}
 
 
 def mk_app(st, bt, fun, arg):

@@ -157,6 +157,7 @@ def build_defs_doc(resolved, schemes, deps, fragments, visible_digests,
                 "sig_line": fr.sig_line,
                 "info_line": fr.info_line,
                 "imported": [list(pair) for pair in fr.imported],
+                "consts": list(fr.consts),
             }
         sccs.append(
             {
@@ -263,6 +264,7 @@ def try_incremental(module, visible_schemes, visible_digests, prev_doc,
                     imported=tuple(
                         (src, py) for src, py in payload["imported"]
                     ),
+                    consts=tuple(payload["consts"]),
                 )
                 reused.append(name)
             continue

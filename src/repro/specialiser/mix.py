@@ -187,14 +187,14 @@ class MixProgram:
     def call(self, st, fname, bts, args):
         _, d = self.defs[fname]
         btenv = dict(zip(d.bt_params, bts))
-        unfold = evaluate(d.unfold, btenv)
+        if not evaluate(d.unfold, btenv).dyn:
+            rt.unfold(st)
+            return self._body(st, d, btenv, args)
         return rt.mk_resid(
             st,
-            unfold,
             fname,
             bts,
             args,
-            lambda: self._body(st, d, btenv, args),
             lambda fresh: self._body(st, d, btenv, fresh),
         )
 

@@ -120,14 +120,14 @@ class OnlineSpecialiser:
 
     def call(self, st, fname, args):
         d = self.defs[fname]
-        unfold = rt.S if all(fully_static(a) for a in args) else rt.D
+        if all(fully_static(a) for a in args):
+            rt.unfold(st)
+            return self._body(st, d, args)
         return rt.mk_resid(
             st,
-            unfold,
             fname,
             (),
             args,
-            lambda: self._body(st, d, args),
             # Unlike the offline pipeline, no coercion guarantees the
             # body of a residual version is dynamic code — dynamise it.
             lambda fresh: rt.dynamize(st, self._body(st, d, fresh)),

@@ -7,8 +7,10 @@ import pytest
 import repro
 from repro.bench.generators import power_twice_main_source
 from repro.bt.analysis import analyse_program
-from repro.genext.cogen import cogen_program
+from repro.genext import runtime as rt
+from repro.genext.cogen import GenextModule, cogen_program
 from repro.genext.link import (
+    GenextABIError,
     GenextProgram,
     link_genexts,
     load_genext,
@@ -92,6 +94,33 @@ def test_generated_module_compiles_standalone():
     loaded = load_genext(module)
     assert "f" in loaded.exports
     assert loaded.signatures["f"].params == ("x",)
+
+
+def _stale(source, line):
+    """``source`` as a cogen recording runtime ABI ``line`` would emit it
+    (``None``: one from before generated modules recorded an ABI)."""
+    current = "_RT_ABI = %d\n" % rt.ABI
+    assert current in source
+    return source.replace(current, line or "")
+
+
+@pytest.mark.parametrize("line", [None, "_RT_ABI = 1\n"])
+def test_dir_generated_for_another_runtime_abi_is_rejected(tmp_path, line):
+    modules = genexts(power_twice_main_source())
+    write_genexts(modules, str(tmp_path))
+    path = tmp_path / "Twice.genext.py"
+    path.write_text(_stale(path.read_text(), line))
+    with pytest.raises(GenextABIError, match="generating extension Twice "
+                       "was generated for runtime ABI 1, but this runtime "
+                       "is ABI %d" % rt.ABI):
+        load_genext_dir(str(tmp_path))
+
+
+def test_module_generated_for_another_runtime_abi_is_rejected():
+    (module,) = genexts("module M where\n\nf x = x + 1\n")
+    stale = GenextModule(module.name, module.imports, _stale(module.source, None))
+    with pytest.raises(GenextABIError, match="generating extension M "):
+        load_genext(stale)
 
 
 def test_new_state_strategy_passthrough():

@@ -126,6 +126,38 @@ def test_body_edit_output_is_byte_identical_to_cold_build(tmp_path):
     assert _artifacts(incr) == _artifacts(cold)
 
 
+def test_cache_from_an_older_epoch_is_reanalysed_not_reused(
+    tmp_path, monkeypatch
+):
+    # Every cache key folds in CACHE_EPOCH, which is bumped whenever the
+    # cogen's output changes: artifacts written under an older epoch
+    # (such as genexts calling an older runtime API) must never be
+    # served again.
+    from repro import speccache
+    from repro.bt import interface
+    from repro.pipeline import incremental
+
+    _write(tmp_path, "Power", POWER)
+    _write(
+        tmp_path, "Use", "module Use where\nimport Power\n\ncube y = power 3 y\n"
+    )
+    cache = str(tmp_path / "cache")
+    with monkeypatch.context() as m:
+        for module in (interface, incremental, speccache):
+            m.setattr(module, "CACHE_EPOCH", interface.CACHE_EPOCH - 1)
+        old = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
+        assert sorted(old.analysed) == ["Power", "Use"]
+        again = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
+        assert sorted(again.cached) == ["Power", "Use"]
+    new = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
+    assert new.cached == []
+    assert sorted(new.analysed + new.incremental) == ["Power", "Use"]
+    # The per-def path may take a module, but reuses none of its defs.
+    assert all(e.reused == () for e in new.rebuild.modules)
+    assert set(new.keys.values()).isdisjoint(old.keys.values())
+    assert all("rt.unfold(st)" in m.source for m in new.genexts)
+
+
 def test_scheme_change_skips_every_dependent_module(tmp_path):
     n = 8
     sources = _chain(n)

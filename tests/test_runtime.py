@@ -1,10 +1,13 @@
 """Specialisation-runtime unit tests: partially static values, splitting,
 coercion/dynamisation, generating versions of the primitives."""
 
+import itertools
+
 import pytest
 
 from repro.genext import runtime as rt
 from repro.lang.ast import Call, If, Lam, Lit, Prim, Var
+from repro.lang.prims import PRIMS, PrimError, apply_prim
 from repro.modsys.graph import ModuleGraph
 
 
@@ -177,6 +180,117 @@ def test_mk_prim_static_error_surfaces_as_spec_error():
         rt.mk_prim(st, "div", rt.S, (rt.SBase(1), rt.SBase(0)))
 
 
+# -- the generating-primitive table against the reference semantics ---------------
+
+
+def _reference_prim(op, bt, args):
+    """The generic semantics of a generating primitive, written without
+    fast paths: residual code under ``D``; under ``S`` the structural
+    ops on partially static values, and the base ops through the
+    object language's own ``apply_prim``."""
+    if bt.dyn:
+        return rt.DCode(Prim(op, tuple(rt.code_of(a) for a in args)))
+    if op in ("cons", "head", "tail", "null"):
+        xs = args[-1]
+        if not isinstance(xs, rt.SList):
+            raise rt.SpecError(
+                "static %r %s non-static list"
+                % (op, "onto" if op == "cons" else "of")
+            )
+        if op == "cons":
+            return rt.SList((args[0],) + xs.items)
+        if op == "null":
+            return rt.SBase(xs.items == ())
+        if not xs.items:
+            raise rt.SpecError("%s of empty list during specialisation" % op)
+        return xs.items[0] if op == "head" else rt.SList(xs.items[1:])
+    if op == "pair":
+        return rt.SPair(args[0], args[1])
+    if op in ("fst", "snd"):
+        (p,) = args
+        if not isinstance(p, rt.SPair):
+            raise rt.SpecError("static %r of non-static pair" % op)
+        return p.fst if op == "fst" else p.snd
+    values = []
+    for a in args:
+        if not isinstance(a, rt.SBase):
+            raise rt.SpecError("static %r applied to non-static operand" % op)
+        values.append(a.value)
+    try:
+        return rt.SBase(apply_prim(op, values))
+    except PrimError as e:
+        raise rt.SpecError("primitive failed during specialisation: %s" % e)
+
+
+class _Nat(int):
+    """An ``int`` subclass: off every fast path, still a natural."""
+
+
+_OPERANDS = (
+    rt.SBase(0),
+    rt.SBase(7),
+    rt.SBase(3),
+    rt.SBase(True),
+    rt.SBase(False),
+    rt.SBase(_Nat(2)),
+    rt.SBase(_Nat(0)),
+    rt.SList(()),
+    rt.SList((rt.SBase(1), rt.DCode(Var("y")))),
+    rt.SPair(rt.SBase(1), rt.DCode(Var("z"))),
+    rt.DCode(Var("x")),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except Exception as e:  # compared by class and message
+        return ("raises", type(e), str(e))
+    value_type = type(out.value) if isinstance(out, rt.SBase) else None
+    return ("returns", type(out), out, value_type)
+
+
+def test_prim_gen_covers_every_primitive():
+    assert set(rt.PRIM_GEN) == set(PRIMS)
+
+
+@pytest.mark.parametrize("bt", [rt.S, rt.D], ids=["S", "D"])
+@pytest.mark.parametrize("op", sorted(PRIMS))
+def test_prim_gen_matches_reference_semantics(op, bt):
+    st = state()
+    gen = rt.PRIM_GEN[op]
+    for args in itertools.product(_OPERANDS, repeat=PRIMS[op].arity):
+        expected = _outcome(_reference_prim, op, bt, args)
+        assert _outcome(gen, st, bt, *args) == expected, (op, bt, args)
+        assert _outcome(rt.mk_prim, st, op, bt, args) == expected
+
+
+@pytest.mark.parametrize(
+    "op, args, outcome",
+    [
+        ("-", (3, 7), rt.SBase(0)),  # monus
+        ("-", (7, 3), rt.SBase(4)),
+        ("div", (7, 0), "primitive failed during specialisation: "
+                        "division by zero"),
+        ("mod", (7, 0), "primitive failed during specialisation: "
+                        "modulo by zero"),
+        ("+", (True, 1), "primitive failed during specialisation: "
+                         "expected a natural, got True"),
+        ("==", (_Nat(2), 2), rt.SBase(True)),
+        ("head", (rt.SList(()),), "head of empty list during specialisation"),
+    ],
+)
+def test_prim_gen_edge_cases(op, args, outcome):
+    st = state()
+    args = tuple(a if isinstance(a, rt.PE) else rt.SBase(a) for a in args)
+    if isinstance(outcome, str):
+        with pytest.raises(rt.SpecError) as info:
+            rt.PRIM_GEN[op](st, rt.S, *args)
+        assert str(info.value) == outcome
+    else:
+        assert rt.PRIM_GEN[op](st, rt.S, *args) == outcome
+
+
 def test_mk_if_static_takes_one_branch():
     st = state()
     taken = []
@@ -237,24 +351,24 @@ def _build_id_body(args):
     return rt.DCode(args[0].code)
 
 
-def test_mk_resid_unfolds_when_static():
+def test_unfold_counts_without_residualising():
     st = state()
-    out = rt.mk_resid(
-        st, rt.S, "f", (rt.S,), (rt.SBase(1),),
-        lambda: rt.SBase(99),
-        _build_id_body,
-    )
-    assert out == rt.SBase(99)
+    rt.unfold(st)
     assert st.stats.unfolds == 1
     assert st.stats.specialisations == 0
+    assert st.done == {}
+
+
+def test_unfold_checks_the_deadline():
+    st = rt.SpecState({}, ModuleGraph({}), deadline=0.0)
+    with pytest.raises(rt.SpecTimeout):
+        rt.unfold(st)
 
 
 def test_mk_resid_creates_residual_function():
     st = state()
     out = rt.mk_resid(
-        st, rt.D, "f", (rt.D,), (rt.DCode(Var("q")),),
-        lambda: pytest.fail("must not unfold"),
-        _build_id_body,
+        st, "f", (rt.D,), (rt.DCode(Var("q")),), _build_id_body,
     )
     assert isinstance(out.code, Call)
     assert out.code.args == (Var("q"),)
@@ -266,16 +380,13 @@ def test_mk_resid_creates_residual_function():
 
 def test_mk_resid_memoises_on_static_parts():
     st = state()
-    common = dict(
-        unfolded=lambda: None,
-    )
     out1 = rt.mk_resid(
-        st, rt.D, "f", (rt.S, rt.D), (rt.SBase(3), rt.DCode(Var("a"))),
-        lambda: None, lambda args: rt.DCode(args[0].code if isinstance(args[0], rt.DCode) else Lit(0)),
+        st, "f", (rt.S, rt.D), (rt.SBase(3), rt.DCode(Var("a"))),
+        lambda args: rt.DCode(args[0].code if isinstance(args[0], rt.DCode) else Lit(0)),
     )
     out2 = rt.mk_resid(
-        st, rt.D, "f", (rt.S, rt.D), (rt.SBase(3), rt.DCode(Var("b"))),
-        lambda: None, lambda args: rt.DCode(Lit(0)),
+        st, "f", (rt.S, rt.D), (rt.SBase(3), rt.DCode(Var("b"))),
+        lambda args: rt.DCode(Lit(0)),
     )
     assert out1.code.func == out2.code.func  # same residual function
     assert out1.code.args == (Var("a"),)
@@ -287,11 +398,11 @@ def test_mk_resid_memoises_on_static_parts():
 def test_mk_resid_distinguishes_binding_times():
     st = state()
     a = rt.mk_resid(
-        st, rt.D, "f", (rt.S,), (rt.SBase(1),), lambda: None,
+        st, "f", (rt.S,), (rt.SBase(1),),
         lambda args: rt.DCode(Lit(1)),
     )
     b = rt.mk_resid(
-        st, rt.D, "f", (rt.D,), (rt.DCode(Lit(1)),), lambda: None,
+        st, "f", (rt.D,), (rt.DCode(Lit(1)),),
         lambda args: rt.DCode(Lit(1)),
     )
     assert a.code.func != b.code.func
@@ -306,7 +417,7 @@ def test_mk_resid_closure_static_part_in_key():
     def call_with(kval, varname):
         clo = rt.SClo("x", helper, (), (("k", kval),), "lab", ("g",))
         return rt.mk_resid(
-            st, rt.D, "f", (rt.S,), (clo,), lambda: None,
+            st, "f", (rt.S,), (clo,),
             lambda args: rt.DCode(Lit(0)),
         )
 
@@ -325,7 +436,7 @@ def test_mk_resid_closure_dynamic_env_becomes_parameter():
 
     clo = rt.SClo("x", helper, (), (("k", rt.DCode(Var("z")),),), "lab", ("g",))
     out = rt.mk_resid(
-        st, rt.D, "f", (rt.S,), (clo,), lambda: None,
+        st, "f", (rt.S,), (clo,),
         lambda args: args[0].apply(st, rt.DCode(Var("w"))),
     )
     # The dynamic environment component is passed as an argument.
