@@ -16,12 +16,10 @@ program:
    (:mod:`repro.backend.tiers`) forced in turn: the general
    interpreter, the residual interpreter, and the emitted + compiled
    Python must all agree with the ground truth;
-6. **strategies** — the non-default analysis-strategy matrix
-   (``docs/analyses.md``): ``division="poly"`` must produce a residual
-   *byte-identical* to the monovariant one (versions are a cogen
-   artefact, not a semantics change), and ``unfolding="size-change"``
-   residuals — genext and mix, which must again agree byte-for-byte —
-   must produce the interpreter's values.
+6. **strategies** — the non-default analysis strategies
+   (``docs/analyses.md``): ``unfolding="size-change"`` residuals —
+   genext and mix, which must agree byte-for-byte — must produce the
+   interpreter's values.
 
 On top of that, the goal's alternate static valuations are pushed
 through the parallel batch driver at every requested ``--jobs`` width;
@@ -38,7 +36,7 @@ import tempfile
 from dataclasses import replace
 
 from repro.api import SpecOptions
-from repro.bt.analysis import analyse_program
+from repro.bt.analysis import UNFOLDINGS, analyse_program
 from repro.genext.batch import specialise_many
 from repro.genext.cogen import cogen_program
 from repro.genext.link import link_genexts
@@ -53,13 +51,9 @@ from repro.types import infer_program
 DIFF_FUEL = 600_000
 DEFAULT_SPEC_TIMEOUT = 30.0
 
-# The non-default corners of the analysis-strategy space, differentially
-# checked by way 6.  (mono, lub) is every other way's baseline.
-STRATEGY_MATRIX = (
-    ("poly", "lub"),
-    ("mono", "size-change"),
-    ("poly", "size-change"),
-)
+# The non-default analysis strategies, differentially checked by way 6.
+# ``lub`` is every other way's baseline.
+STRATEGY_MATRIX = tuple(u for u in UNFOLDINGS if u != "lub")
 
 
 def _failure(way, kind, message, **details):
@@ -289,17 +283,15 @@ def run_case(case, jobs_widths=(1,), check_cache=True, timeout=None, obs=None,
 def _check_strategy_matrix(case, linked, genext_text, expected, options, obs):
     """Differentially check the non-default analysis strategies.
 
-    Polyvariant division is a compilation-artefact change, so its
-    residual must be byte-identical to the baseline's.  Size-change
-    unfolding legitimately changes the residual, so it is value-checked
-    against the interpreter instead — and the genext and mix paths,
-    which share the strategy, must still agree byte-for-byte."""
+    A non-default unfolding legitimately changes the residual, so it is
+    value-checked against the interpreter — and the genext and mix
+    paths, which share the strategy, must still agree byte-for-byte."""
     from repro import compile_genexts
 
     failures = []
-    for division, unfolding in STRATEGY_MATRIX:
-        way = "strategy[%s,%s]" % (division, unfolding)
-        sopts = options.replace(division=division, unfolding=unfolding)
+    for unfolding in STRATEGY_MATRIX:
+        way = "strategy[%s]" % unfolding
+        sopts = options.replace(unfolding=unfolding)
         try:
             sgp = compile_genexts(linked, sopts)
             result = specialise(
@@ -308,17 +300,6 @@ def _check_strategy_matrix(case, linked, genext_text, expected, options, obs):
             text = pretty_program(result.program)
         except Exception as exc:
             failures.append(_failure(way, "specialise", exc))
-            continue
-        if unfolding == "lub" and text != genext_text:
-            failures.append(
-                _failure(
-                    way,
-                    "bytes",
-                    "polyvariant division changed the residual program",
-                    baseline=genext_text,
-                    got=text,
-                )
-            )
             continue
         for vec in case.dyn_inputs:
             try:
@@ -340,32 +321,29 @@ def _check_strategy_matrix(case, linked, genext_text, expected, options, obs):
                         got=got,
                     )
                 )
-        if division == "mono" and unfolding != "lub":
-            try:
-                mix_result = mix_specialise(
-                    case.source,
-                    case.goal,
-                    dict(case.static_args),
-                    sopts,
-                    obs=obs,
+        try:
+            mix_result = mix_specialise(
+                case.source,
+                case.goal,
+                dict(case.static_args),
+                sopts,
+                obs=obs,
+            )
+            mix_text = pretty_program(mix_result.program)
+        except Exception as exc:
+            failures.append(_failure(way, "specialise", exc, baseline="mix"))
+            continue
+        if mix_text != text:
+            failures.append(
+                _failure(
+                    way,
+                    "bytes",
+                    "mix residual differs from genext residual "
+                    "under %s unfolding" % unfolding,
+                    genext=text,
+                    mix=mix_text,
                 )
-                mix_text = pretty_program(mix_result.program)
-            except Exception as exc:
-                failures.append(
-                    _failure(way, "specialise", exc, baseline="mix")
-                )
-                continue
-            if mix_text != text:
-                failures.append(
-                    _failure(
-                        way,
-                        "bytes",
-                        "mix residual differs from genext residual "
-                        "under %s unfolding" % unfolding,
-                        genext=text,
-                        mix=mix_text,
-                    )
-                )
+            )
     return failures
 
 

@@ -95,14 +95,10 @@ def run_check(
             if linked is not None:
                 findings = lint_linked(linked, force_residual)
                 if strategy_matrix:
-                    # The polyvariant division adds per-version lint;
-                    # size-change swaps the unfold rule for proof-based
+                    # Size-change swaps the unfold rule for proof-based
                     # checks.  Same source, stricter coverage.
                     findings = findings + lint_linked(
-                        linked,
-                        force_residual,
-                        division="poly",
-                        unfolding="size-change",
+                        linked, force_residual, unfolding="size-change"
                     )
                 report.extend(findings)
                 metrics.counter("check.lint_findings").inc(len(findings))

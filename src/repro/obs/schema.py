@@ -24,16 +24,16 @@ from repro.obs.metrics import METRICS_SCHEMA
 __all__ = [
     "BENCH_EXEC_TIERS_SCHEMA",
     "BENCH_INCREMENTAL_SCHEMA",
-    "BENCH_POLYVARIANCE_SCHEMA",
     "BENCH_SERVE_SCHEMA",
     "BENCH_SOAK_SCHEMA",
+    "BENCH_SIZECHANGE_SCHEMA",
     "BENCH_SPEC_THROUGHPUT_SCHEMA",
     "REPORT_SCHEMA",
     "WELL_KNOWN_COUNTERS",
     "validate_bench_exec_tiers",
     "validate_bench_incremental",
-    "validate_bench_polyvariance",
     "validate_bench_serve",
+    "validate_bench_sizechange",
     "validate_bench_soak",
     "validate_bench_spec_throughput",
     "validate_metrics",
@@ -54,9 +54,9 @@ BENCH_INCREMENTAL_SCHEMA = "repro.bench.incremental/v1"
 
 BENCH_EXEC_TIERS_SCHEMA = "repro.bench.exec_tiers/v1"
 
-BENCH_POLYVARIANCE_SCHEMA = "repro.bench.polyvariance/v1"
+BENCH_SIZECHANGE_SCHEMA = "repro.bench.sizechange/v1"
 
-# The paper's experiment families (Sec. 6, E4-E9) a polyvariance
+# The paper's experiment families (Sec. 6, E4-E9) a size-change
 # scenario may claim membership of.
 _BENCH_FAMILIES = frozenset(["e4", "e5", "e6", "e7", "e8", "e9"])
 
@@ -550,22 +550,22 @@ def validate_bench_exec_tiers(doc):
     return problems
 
 
-def validate_bench_polyvariance(doc):
-    """Problems with a ``BENCH_polyvariance.json`` document (empty list
-    = ok).  The document is what ``benchmarks/bench_polyvariance.py``
+def validate_bench_sizechange(doc):
+    """Problems with a ``BENCH_sizechange.json`` document (empty list
+    = ok).  The document is what ``benchmarks/bench_sizechange.py``
     emits: per-scenario residual sizes and warm residual run times under
-    the default strategies vs size-change unfolding, plus the
-    polyvariant-division byte-identity and cross-strategy value-identity
-    verdicts.  Every scenario names the paper experiment family
-    (E4-E9) it instantiates, and at least two scenarios must show a
-    measurable win — a smaller residual or a faster residual run."""
+    the default unfolding vs size-change unfolding, plus the
+    cross-strategy value-identity verdict.  Every scenario names the
+    paper experiment family (E4-E9) it instantiates, and at least two
+    scenarios must show a measurable win — a smaller residual or a
+    faster residual run."""
     if not isinstance(doc, dict):
         return ["bench document must be a JSON object"]
     problems = []
-    if doc.get("schema") != BENCH_POLYVARIANCE_SCHEMA:
+    if doc.get("schema") != BENCH_SIZECHANGE_SCHEMA:
         problems.append(
             "schema must be %r, got %r"
-            % (BENCH_POLYVARIANCE_SCHEMA, doc.get("schema"))
+            % (BENCH_SIZECHANGE_SCHEMA, doc.get("schema"))
         )
     if not isinstance(doc.get("cpus"), int) or doc.get("cpus", 0) < 1:
         problems.append("cpus must be a positive integer")
@@ -575,11 +575,6 @@ def validate_bench_polyvariance(doc):
         problems.append(
             "values_identical must be true (every strategy's residual "
             "must compute the same values as the interpreter)"
-        )
-    if doc.get("poly_identical") is not True:
-        problems.append(
-            "poly_identical must be true (polyvariant division must "
-            "not change the residual program)"
         )
     scenarios = doc.get("scenarios")
     if not isinstance(scenarios, dict) or not scenarios:
@@ -651,8 +646,8 @@ def validate_file(path):
         return "bench", validate_bench_incremental(doc)
     if isinstance(doc, dict) and doc.get("schema") == BENCH_EXEC_TIERS_SCHEMA:
         return "bench", validate_bench_exec_tiers(doc)
-    if isinstance(doc, dict) and doc.get("schema") == BENCH_POLYVARIANCE_SCHEMA:
-        return "bench", validate_bench_polyvariance(doc)
+    if isinstance(doc, dict) and doc.get("schema") == BENCH_SIZECHANGE_SCHEMA:
+        return "bench", validate_bench_sizechange(doc)
     return "unknown", ["unrecognised document (no known schema marker)"]
 
 

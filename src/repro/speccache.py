@@ -124,17 +124,11 @@ def residual_cache_key(fingerprint, goal, static_args, options):
             else b"%d" % options.max_versions,
         )
     )
-    # Analysis strategies change the residual program (unfolding) or at
-    # least the compiled artefacts (division), so they key the cache.
-    # Appended conditionally so every pre-existing key stays valid.
-    if options.division != "mono" or options.unfolding != "lub":
+    # The unfolding strategy changes the residual program, so it keys
+    # the cache.  Appended conditionally so the default key is unchanged.
+    if options.unfolding != "lub":
         h.update(
-            b"\x00analysis=division:%s;unfolding:%s;max_bt_versions:%d"
-            % (
-                options.division.encode("utf-8"),
-                options.unfolding.encode("utf-8"),
-                options.max_bt_versions,
-            )
+            b"\x00analysis=unfolding:%s" % options.unfolding.encode("utf-8")
         )
     return h.hexdigest()
 

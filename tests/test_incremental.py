@@ -8,8 +8,7 @@ import glob
 
 import pytest
 
-from repro import api
-from repro.api import BuildOptions, LegacyOptionsWarning
+from repro.api import BuildOptions
 from repro.bt.interface import (
     InterfaceStore,
     interface_text,
@@ -248,18 +247,6 @@ def test_cli_json_carries_the_rebuild_report(tmp_path, capsys):
     assert rebuild["modules"][0]["module"] == "Power"
     # And the stats view carries the incr.* counters.
     assert doc["report"]["stats"]["defs_cut_off"] == 0
-
-
-def test_legacy_incremental_kwarg_warns(tmp_path):
-    _write(tmp_path, "Power", POWER)
-    api._reset_legacy_warnings()
-    with pytest.warns(LegacyOptionsWarning, match="build_dir"):
-        result = build_dir(
-            str(tmp_path),
-            cache_dir=str(tmp_path / "cache"),
-            incremental=False,
-        )
-    assert result.rebuild.incremental is False
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ from repro.bt.analysis import analyse_program
 from repro.bt.interface import (
     InterfaceError,
     InterfaceManager,
+    InterfaceStore,
     interface_digest,
+    interface_text,
     module_key,
     read_interface,
     scheme_from_json,
@@ -144,6 +146,85 @@ def test_interface_serialisation_is_canonical(tmp_path):
     write_interface(b, "Lib", dict(reversed(list(schemes.items()))))
     assert open(a).read() == open(b).read()
     assert interface_digest(a) == interface_digest(b)
+
+
+def test_v2_round_trip_is_byte_stable():
+    schemes = all_schemes(LIB)
+    text = interface_text("Lib", schemes)
+    store = InterfaceStore()
+    iface = store.load_text(text)
+    assert iface.format == 2
+    assert iface.schemes == schemes
+    assert iface.stored_digests == iface.digests
+    assert store.verify(iface) == []
+    # Re-serialising the parsed document is byte-stable.
+    assert interface_text(iface.module, iface.schemes) == text
+
+
+# A v2 interface of ``power`` as written by the polyvariant division this
+# repository once had: the usual document plus a ``versions`` table.
+OLD_V2_WITH_VERSIONS = """{
+ "digests": {
+  "power": "88361fa6b3fee6c5ea18f4306659e597bfaf4154fa37ec7aac3c8f7ce39ba2ee"
+ },
+ "format": 2,
+ "module": "Lib",
+ "schemes": {
+  "power": {
+   "args": [["base", "Nat", 0], ["base", "Nat", 1]],
+   "dyn": [],
+   "edges": [[0, 2], [0, 3], [1, 2], [3, 2]],
+   "nslots": 4,
+   "res": ["base", "Nat", 2],
+   "unfold": 3
+  }
+ },
+ "versions": {
+  "power": [
+   {"digest": "10c25c6fff8ee3b8225ec97acacc5f5d544f42bf4bda543cedd921a5e3ebc866", "pattern": "SS"},
+   {"digest": "0918be4725c7e628a26f5519ddcf2215d2b2e8e1ebcf7a9ab99bf21e364df1dc", "pattern": "SD"},
+   {"digest": "ba85e0a1533c804e5c4333c9d8b841905bed2c3f48214d038c2da19210fb7188", "pattern": "DS"},
+   {"digest": "e463484f12b270b9f94c4d8f3b86a1d9875ba2680775678fb76649d83529e498", "pattern": "DD"}
+  ]
+ }
+}
+"""
+
+
+def _without_versions(text):
+    doc = json.loads(text)
+    del doc["versions"]
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def test_old_v2_file_with_versions_table_loads():
+    store = InterfaceStore()
+    old = store.load_text(OLD_V2_WITH_VERSIONS)
+    plain = store.load_text(_without_versions(OLD_V2_WITH_VERSIONS))
+    assert old.format == plain.format == 2
+    assert old.schemes == plain.schemes
+    assert old.digests == plain.digests
+    assert old.stored_digests == plain.stored_digests
+    assert store.verify(old) == store.verify(plain) == []
+    # Without the table it is exactly what today's writer produces.
+    power = all_schemes(LIB)["power"]
+    assert _without_versions(OLD_V2_WITH_VERSIONS) == interface_text(
+        "Lib", {"power": power}
+    )
+
+
+def test_def_digest_skew_detected_beside_a_versions_table():
+    doc = json.loads(OLD_V2_WITH_VERSIONS)
+    # The versions table is ignored, stale digests and all ...
+    doc["versions"]["power"][0]["digest"] = "0" * 64
+    store = InterfaceStore()
+    assert store.verify(store.load_text(json.dumps(doc))) == []
+    # ... while the def digest table next to it is still checked.
+    doc["digests"]["power"] = "0" * 64
+    problems = store.verify(store.load_text(json.dumps(doc)))
+    assert [(rule, name) for rule, name, _m in problems] == [
+        ("def_digest_skew", "power")
+    ]
 
 
 def test_module_key_sensitivity():

@@ -106,6 +106,23 @@ def test_key_ignores_execution_knobs_but_not_semantics():
     assert base != residual_cache_key(fp, "power", {"n": 4}, SpecOptions())
 
 
+def test_default_key_bytes_are_pinned():
+    """The key under ``SpecOptions()`` is pinned to its literal hex, so a
+    change to the key's layout cannot silently invalidate every
+    persisted entry.  The unfolding tail appears only off the default."""
+    fp = "0" * 64
+    base = residual_cache_key(fp, "power", {"n": 3}, SpecOptions())
+    assert base == (
+        "bd4b6bd8e50e27fd9c707f6c1add5ea8a93ccae27b976b547a8369eda3e8d743"
+    )
+    assert base == residual_cache_key(
+        fp, "power", {"n": 3}, SpecOptions(unfolding="lub")
+    )
+    assert base != residual_cache_key(
+        fp, "power", {"n": 3}, SpecOptions(unfolding="size-change")
+    )
+
+
 def test_fingerprint_changes_when_a_module_source_changes():
     assert _gp(POWER).fingerprint() != _gp(POWER_EDITED).fingerprint()
 
