@@ -177,10 +177,10 @@ def bench_rungs(tmp, prog):
     # The forced tier-2 probe above persisted the artifact; load the
     # compiled entry back the way a cold process would.
     key = ladder.key_for("run", static)
-    fn = load_compiled(ladder.store, key)
+    fn = load_compiled(ladder.disk, key)
     assert fn is not None and fn.origin == "code"
 
-    # Tier-1 residual (warm residual cache — the decode memo makes the
+    # Tier-1 residual (warm residual store — the decoded entry makes the
     # re-probe cheap, but the run still walks the residual AST).
     result = specialise(gp, "run", static, options, obs=obs)
 
@@ -191,7 +191,7 @@ def bench_rungs(tmp, prog):
     tier1_s = _best_per_call(lambda: result.run(*vec), T1_CALLS)
     tier2_s = _best_per_call(lambda: fn(*vec), T2_CALLS)
 
-    # The organic hot path: memo probe + native call through the
+    # The organic hot path: store probe + native call through the
     # ladder (includes the cache-key fingerprint per call).
     ladder.call("run", static, vec)  # ensure memoised
     warm_call_s = _best_per_call(

@@ -1,14 +1,14 @@
-"""Specialisation-layer throughput: residual cache, RTCG LRU, batch driver.
+"""Specialisation-layer throughput: residual store, RTCG hits, batch driver.
 
 A first-Futamura workload — specialising the register-machine
 interpreter (:data:`repro.bench.generators.MACHINE_INTERPRETER`) with
 respect to machine programs — measured through the three layers this
 repo stacks on top of a single ``specialise`` call:
 
-* **persistent residual cache** (``SpecOptions(cache_dir=...)``): a
-  cold run against an empty cache vs a warm run answered from disk;
-* **RTCG callable LRU** (``repro.backend.generate``): a cold
-  specialise+compile vs a memoised hit;
+* **the residual store's disk entries** (``SpecOptions(cache_dir=...)``):
+  a cold run against an empty cache vs a warm run answered from disk;
+* **the residual store's compiled callables** (``repro.backend.generate``):
+  a cold specialise+compile vs a hit on the key's store entry;
 * **batch driver** (``specialise_many``): an 8-request batch at
   ``jobs=1`` against a cold cache, ``jobs=4`` against a cold cache
   (raw pool parallelism), and ``jobs=4`` against the warm shared cache
@@ -40,7 +40,6 @@ import time
 
 import repro
 from repro.api import SpecOptions
-from repro.backend import rtcg
 from repro.backend.rtcg import generate
 from repro.bench.generators import (
     machine_interpreter_source,
@@ -49,6 +48,7 @@ from repro.bench.generators import (
 from repro.genext.batch import seed_worker_program, specialise_many
 from repro.obs import Obs
 from repro.pipeline.pool import WorkerPool
+from repro.speccache import STORE
 from repro.obs.schema import (
     BENCH_SPEC_THROUGHPUT_SCHEMA,
     validate_bench_spec_throughput,
@@ -131,17 +131,17 @@ def bench_residual_cache(gp, prog, tmp):
 
 
 def bench_rtcg_lru(gp, prog):
-    """Cold ``generate`` (specialise + compile) vs an LRU hit."""
+    """Cold ``generate`` (specialise + compile) vs a store hit."""
     texts = []
 
     def cold():
-        rtcg.clear_lru()
+        STORE.clear()
         fn = generate(gp, "run", {"prog": prog})
-        texts.append(repro.pretty_program(fn.result.program))
+        texts.append(fn.python_source)
 
     cold_s = _best(cold, 3)
 
-    rtcg.clear_lru()
+    STORE.clear()
     obs = Obs()
     first = generate(gp, "run", {"prog": prog}, obs=obs)
     rounds = 200
@@ -150,11 +150,11 @@ def bench_rtcg_lru(gp, prog):
         for _ in range(rounds):
             fn = generate(gp, "run", {"prog": prog}, obs=obs)
         assert fn is first
-        texts.append(repro.pretty_program(fn.result.program))
+        texts.append(fn.python_source)
 
     warm_s = _best(warm, 3) / rounds
     counters = obs.metrics.snapshot()["counters"]
-    assert counters.get("rtcg.lru_hits", 0) >= rounds, counters
+    assert counters.get("tier.memo_hits", 0) >= rounds, counters
     identical = len(set(texts)) == 1
     return cold_s, warm_s, identical
 

@@ -108,7 +108,7 @@ class SpecOptions:
     strategy ``unfolding`` (``"lub"``/``"size-change"``) — see
     ``docs/analyses.md``.
 
-    ``cache_dir`` enables the persistent residual cache
+    ``cache_dir`` roots the on-disk half of the residual store
     (:mod:`repro.speccache`): a repeated request is answered from disk
     without running the specialiser at all.  ``None`` (the default)
     disables it; runs with a ``sink`` are never cached (the caller

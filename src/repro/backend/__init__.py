@@ -14,8 +14,9 @@ as the "native" target:
   never needs to be divided into modules;
 * :mod:`repro.backend.tiers` — the three-tier execution ladder:
   hotness-promoted goals climb interpret → residual-interpret →
-  compiled, with the compiled artifact persisted in the speccache
-  store (see docs/performance.md, "Execution tiers").
+  compiled, with the compiled callable kept in the residual store and
+  its code object persisted beside ``resid.json`` (see
+  docs/performance.md, "Execution tiers").
 """
 
 from repro.backend.pyemit import CompiledProgram, compile_program, emit_python

@@ -15,6 +15,7 @@ purely syntax-directed, in the spirit of the cogen itself.
 import keyword
 
 from repro.lang.ast import App, Call, If, Lam, Lit, Prim, Var
+from repro.stackguard import deep_stack
 
 PREAMBLE = '''\
 """Compiled object-language program (generated by repro.backend)."""
@@ -286,15 +287,9 @@ class CompiledProgram:
 
     def call(self, name, *args):
         """Call ``name`` on Python values (deep recursion supported)."""
-        import sys
-
         fn = self.function(name)
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old, 100_000))
-        try:
+        with deep_stack():
             return fn(*args)
-        finally:
-            sys.setrecursionlimit(old)
 
 
 def compile_program(program, filename="<compiled program>"):

@@ -2,60 +2,57 @@
 
 The paper's economics (Sec. 8, via LL94) end at *lowering*: a residual
 program only beats the general one decisively once it stops being
-interpreted.  :mod:`repro.backend.rtcg` compiles residuals, but its LRU
-is process-local — every daemon worker, every batch run, every fresh
-process re-parses ``resid.json`` and re-``compile()``s from scratch.
-This module closes that gap with a hotness-driven ladder over three
-execution tiers and a *persistent* compiled artifact next to the
-cached residual payload:
+interpreted.  This module runs goals on a hotness-driven ladder over
+three execution tiers, with a *persistent* compiled artifact next to
+the cached residual payload:
 
 * **tier 0** — interpret the general program (cold goals; no
   specialisation run at all);
-* **tier 1** — specialise (or hit the residual cache) and interpret
-  the residual program: today's path;
+* **tier 1** — specialise (or hit the residual store) and interpret
+  the residual program;
 * **tier 2** — emit the residual as a real Python module via
   :mod:`repro.backend.pyemit`, ``compile()`` it, and run the entry
   natively.
 
-Tier-2 artifacts are stored in the speccache object store under the
-same :func:`~repro.speccache.residual_cache_key` as ``resid.json``:
+Every tier-2 callable comes from one emission route,
+:func:`_compile_result`, and lives in the key's entry of the residual
+store (:data:`repro.speccache.STORE`), which also holds the key's
+hotness count; :func:`repro.backend.rtcg.generate` reads the same
+entry.  On disk the compiled form is ``<key>.code-<cache_tag>.bin`` —
+a marshalled record carrying the compiled code object, keyed by
+``sys.implementation.cache_tag`` so interpreters never load each
+other's bytecode — beside the key's ``resid.json``.
 
-* ``<key>.resid.py`` — the emitted Python source with a one-line
-  ``# mspec:tier2 ...`` header naming the (mangled) entry function and
-  the dynamic parameters.  This is the durable format: any interpreter
-  can recompile it.
-* ``<key>.code-<cache_tag>.bin`` — a marshalled record carrying the
-  compiled code object, keyed by ``sys.implementation.cache_tag`` so
-  interpreters never load each other's bytecode.
+Loading probes in fallback order: the store entry (one dict probe) →
+the marshalled code object (no parsing, no compiling) → re-emit from
+``resid.json``, decoded through the store, self-healing the code
+artifact → tier 1.  An unusable code artifact is counted
+(``tier.code_decode_miss``), never an error.  A persisted artifact is
+a *durable promotion*: a restarted process on the same interpreter
+serves a previously-hot goal at tier 2 without specialising or
+emitting anything.
 
-Loading probes in fallback order: in-process memo (one dict probe) →
-marshalled code object (no parsing, no compiling) → recompile
-``resid.py`` (self-healing the code artifact for the next process) →
-tier 1.  Every fallback is silent; a damaged artifact is a miss, never
-an error.  A persisted artifact counts as a *durable promotion*: a
-cold process (e.g. a restarted daemon) serves a previously-hot goal at
-tier 2 without re-specialising or re-``compile()``-ing from the AST.
-
-Promotion is driven by per-(fingerprint, goal, static-args) hotness
-counters against a :class:`TierPolicy` (``SpecOptions(tier_policy=)``,
-``mspec serve --tier-hot N``): a goal is specialised after
-``warm_after`` requests and compiled + persisted after ``hot_after``.
+Promotion is driven by the key's request count against a
+:class:`TierPolicy` (``SpecOptions(tier_policy=)``, ``mspec serve
+--tier-hot N``): a goal is specialised after ``warm_after`` requests
+and compiled after ``hot_after``; the compiled form is persisted
+exactly when the ladder has a ``cache_dir``.
 
 Counters land in the attached registry (``tier.t0_runs`` /
 ``t1_runs`` / ``t2_runs`` / ``memo_hits`` / ``promotions`` /
-``code_loads`` / ``source_compiles`` / ``emitted``); each promotion
-emits a ``tier.promote`` event on the bus.
+``code_loads`` / ``emitted``); each promotion emits a ``tier.promote``
+event on the bus.
 """
 
 import marshal
 import sys
-import threading
 import types
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.backend.pyemit import _mangle, emit_python, mangle_table
-from repro.pipeline.cache import ArtifactCache, CODE_KIND, RESID_PY_KIND
+from repro.pipeline.cache import ArtifactCache, CODE_KIND
+from repro.speccache import STORE, residual_cache_key
+from repro.stackguard import deep_stack
 
 __all__ = [
     "DEFAULT_TIER_POLICY",
@@ -64,18 +61,12 @@ __all__ = [
     "TierLadder",
     "TierPolicy",
     "TierRun",
-    "clear_tiers",
-    "emit_source",
     "load_compiled",
     "note_warm",
-    "parse_source_header",
     "validate_code_bytes",
-    "validate_source_bytes",
 ]
 
 TIER2_SCHEMA = "repro.tier2/v1"
-
-_HEADER_PREFIX = "# mspec:tier2 "
 
 
 def _cache_tag():
@@ -89,14 +80,11 @@ class TierPolicy:
     A goal's ``count``-th request (per fingerprint + goal + static
     args, 1-based) runs at tier 0 while ``count < warm_after``, at
     tier 1 while ``count < hot_after``, and is promoted to tier 2 at
-    ``count >= hot_after``.  The defaults reproduce today's behaviour
-    for the first requests (specialise immediately) and compile on the
-    third.  ``persist=False`` keeps promotions process-local (no store
-    writes)."""
+    ``count >= hot_after``.  The defaults specialise on the first
+    request and compile on the third."""
 
     warm_after: int = 1
     hot_after: int = 3
-    persist: bool = True
 
     def __post_init__(self):
         if self.warm_after < 0:
@@ -117,65 +105,11 @@ DEFAULT_TIER_POLICY = TierPolicy()
 class TierRun:
     """One ladder execution: the value, the tier that produced it, and
     where the tier-2 callable came from (``interp`` / ``residual`` /
-    ``memo`` / ``code`` / ``source`` / ``emitted``)."""
+    ``memo`` / ``code`` / ``emitted``)."""
 
     value: object
     tier: int
     origin: str
-
-
-# ---------------------------------------------------------------------------
-# Process-wide hotness counters and the compiled-callable memo.
-#
-# Shared across ladders (the daemon rebuilds its ladder on relink; the
-# batch driver has no ladder object at all) and probed from concurrent
-# request-handler threads, so both structures take their lock for every
-# structural operation.  The expensive work — specialising, emitting,
-# compiling — happens outside the locks.
-# ---------------------------------------------------------------------------
-
-_HOT_CAPACITY = 4096
-_HOTNESS = OrderedDict()  # key -> request count, most-recent last
-_HOT_LOCK = threading.Lock()
-
-_MEMO_CAPACITY = 128
-_MEMO = OrderedDict()  # key -> TierFunction, most-recent last
-_MEMO_LOCK = threading.Lock()
-
-
-def _bump(key):
-    with _HOT_LOCK:
-        n = _HOTNESS.get(key, 0) + 1
-        _HOTNESS[key] = n
-        _HOTNESS.move_to_end(key)
-        while len(_HOTNESS) > _HOT_CAPACITY:
-            _HOTNESS.popitem(last=False)
-        return n
-
-
-def _memo_get(key):
-    with _MEMO_LOCK:
-        fn = _MEMO.get(key)
-        if fn is not None:
-            _MEMO.move_to_end(key)
-        return fn
-
-
-def _memo_put(key, fn):
-    with _MEMO_LOCK:
-        _MEMO[key] = fn
-        _MEMO.move_to_end(key)
-        while len(_MEMO) > _MEMO_CAPACITY:
-            _MEMO.popitem(last=False)
-
-
-def clear_tiers():
-    """Drop every hotness counter and memoised callable (test
-    isolation; also how a "cold restart" is simulated in-process)."""
-    with _HOT_LOCK:
-        _HOTNESS.clear()
-    with _MEMO_LOCK:
-        _MEMO.clear()
 
 
 def _count(obs, name, n=1):
@@ -184,70 +118,31 @@ def _count(obs, name, n=1):
 
 
 # ---------------------------------------------------------------------------
-# The tier-2 artifact formats.
+# The tier-2 callable and its code artifact.
 # ---------------------------------------------------------------------------
 
 
 class TierFunction:
-    """A tier-2 callable: the entry function of a compiled residual."""
+    """A tier-2 callable: the entry function of a compiled residual.
+    ``python_source`` is the emitted Python when this process emitted
+    it, ``None`` when it was loaded from a code artifact."""
 
     __slots__ = ("entry", "entry_py", "dynamic_params", "namespace",
-                 "source", "origin")
+                 "python_source", "origin")
 
     def __init__(self, entry, entry_py, dynamic_params, namespace,
-                 source=None, origin="emitted"):
+                 python_source=None, origin="emitted"):
         self.entry = entry
         self.entry_py = entry_py
         self.dynamic_params = tuple(dynamic_params)
         self.namespace = namespace
-        self.source = source
+        self.python_source = python_source
         self.origin = origin
 
     def __call__(self, *dynamic_args):
         fn = self.namespace[self.entry_py]
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old, 100_000))
-        try:
+        with deep_stack():
             return fn(*dynamic_args)
-        finally:
-            sys.setrecursionlimit(old)
-
-
-def emit_source(result):
-    """``(source_text, entry_py)`` for one
-    :class:`~repro.genext.engine.SpecialisationResult`: the emitted
-    Python module prefixed with the self-describing tier-2 header, so
-    a loader needs neither ``resid.json`` nor a program parse."""
-    program = result.program
-    names = mangle_table(program)
-    entry_py = names.get(result.entry) or _mangle(result.entry)
-    header = "%sentry=%s entry_py=%s dynamic_params=%s\n" % (
-        _HEADER_PREFIX,
-        result.entry,
-        entry_py,
-        ",".join(result.dynamic_params),
-    )
-    return header + emit_python(program, names=names), entry_py
-
-
-def parse_source_header(text):
-    """``(entry, entry_py, dynamic_params)`` from an emitted
-    ``resid.py``, or ``None`` when the header is missing/malformed."""
-    line = text.split("\n", 1)[0]
-    if not line.startswith(_HEADER_PREFIX):
-        return None
-    fields = {}
-    for part in line[len(_HEADER_PREFIX):].split():
-        if "=" not in part:
-            return None
-        k, v = part.split("=", 1)
-        fields[k] = v
-    entry = fields.get("entry")
-    entry_py = fields.get("entry_py")
-    if not entry or not entry_py or "dynamic_params" not in fields:
-        return None
-    params = tuple(p for p in fields["dynamic_params"].split(",") if p)
-    return entry, entry_py, params
 
 
 def _pack_code(entry, entry_py, dynamic_params, code):
@@ -261,73 +156,42 @@ def _pack_code(entry, entry_py, dynamic_params, code):
     })
 
 
-def _unpack_code(data):
-    """The tier-2 record in ``data`` if it is loadable by *this*
-    interpreter, else ``None`` (any mismatch is a silent miss)."""
-    try:
-        record = marshal.loads(data)
-    except Exception:
-        return None
-    if not isinstance(record, dict) or record.get("schema") != TIER2_SCHEMA:
-        return None
-    if record.get("tag") != _cache_tag():
-        return None
-    if not isinstance(record.get("code"), types.CodeType):
-        return None
-    if not isinstance(record.get("entry_py"), str):
-        return None
-    if not isinstance(record.get("dynamic_params"), list):
-        return None
-    return record
-
-
-def validate_source_bytes(data):
-    """``None`` if ``data`` is a healthy ``resid.py`` artifact, else a
-    ``(category, reason)`` pair — ``"corrupt"`` for damage,
-    ``"stale"`` for a well-formed artifact the loader would skip
-    (fsck's validator for :data:`~repro.pipeline.cache.RESID_PY_KIND`)."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return ("corrupt", "not UTF-8: %s" % exc)
-    try:
-        compile(text, "<resid.py>", "exec")
-    except (SyntaxError, ValueError) as exc:
-        return ("corrupt", "emitted source does not compile: %s" % exc)
-    if parse_source_header(text) is None:
-        return ("stale", "missing or malformed tier-2 header")
-    return None
-
-
-def validate_code_bytes(data):
-    """``None`` if ``data`` is a tier-2 code artifact this interpreter
-    can load, else ``(category, reason)`` like
-    :func:`validate_source_bytes`.  A wrong or missing cache tag is
-    ``"stale"``: the bytes are intact but useless here — the loader
-    falls back to recompiling ``resid.py``."""
+def _read_code(data):
+    """``(record, problem)`` for the bytes of a code artifact: the
+    tier-2 record when *this* interpreter can load it, else ``None``
+    and a ``(category, reason)`` pair — ``"corrupt"`` for damage,
+    ``"stale"`` for intact bytes the loader skips (a wrong or missing
+    cache tag: the loader re-emits from ``resid.json``).  A bare
+    marshalled code object, the build pipeline's payload of the same
+    kind, is healthy but no record: ``(None, None)``."""
     try:
         record = marshal.loads(data)
     except Exception as exc:
-        return ("corrupt", "does not unmarshal: %s" % exc)
+        return None, ("corrupt", "does not unmarshal: %s" % exc)
     if isinstance(record, types.CodeType):
-        # A bare marshalled code object: the store's original CODE_KIND
-        # payload, still healthy.
-        return None
+        return None, None
     if not isinstance(record, dict) or record.get("schema") != TIER2_SCHEMA:
-        return ("stale", "not a %s record" % TIER2_SCHEMA)
+        return None, ("stale", "not a %s record" % TIER2_SCHEMA)
     if record.get("tag") != _cache_tag():
-        return (
+        return None, (
             "stale",
             "cache tag %r is not this interpreter's %r"
             % (record.get("tag"), _cache_tag()),
         )
     if not isinstance(record.get("code"), types.CodeType):
-        return ("corrupt", "record carries no code object")
+        return None, ("corrupt", "record carries no code object")
     if not isinstance(record.get("entry_py"), str) or not isinstance(
         record.get("dynamic_params"), list
     ):
-        return ("corrupt", "missing entry or dynamic_params")
-    return None
+        return None, ("corrupt", "missing entry or dynamic_params")
+    return record, None
+
+
+def validate_code_bytes(data):
+    """``None`` if ``data`` is a healthy code artifact, else its
+    ``(category, reason)`` (fsck's validator for
+    :data:`~repro.pipeline.cache.CODE_KIND`)."""
+    return _read_code(data)[1]
 
 
 def _exec_namespace(code):
@@ -337,43 +201,49 @@ def _exec_namespace(code):
 
 
 def _compile_result(result, obs=None):
-    """Emit + compile one specialisation result; returns the
-    :class:`TierFunction` and the packed code-artifact bytes."""
-    source, entry_py = emit_source(result)
+    """Emit + compile one specialisation result — the one route from a
+    residual to Python; returns the :class:`TierFunction` and the
+    packed code-artifact bytes."""
+    program = result.program
+    names = mangle_table(program)
+    entry_py = names.get(result.entry) or _mangle(result.entry)
+    source = emit_python(program, names=names)
     code = compile(source, "<tier2:%s>" % result.entry, "exec")
     fn = TierFunction(
         result.entry,
         entry_py,
         result.dynamic_params,
         _exec_namespace(code),
-        source=source,
+        python_source=source,
         origin="emitted",
     )
     _count(obs, "tier.emitted")
     return fn, _pack_code(result.entry, entry_py, result.dynamic_params, code)
 
 
-def load_compiled(store, key, obs=None, self_heal=True):
-    """Load the persisted tier-2 callable for ``key``, or ``None``.
+def load_compiled(disk, key, obs=None):
+    """Load the persisted tier-2 callable for ``key`` from ``disk`` (an
+    :class:`~repro.pipeline.cache.ArtifactCache`), or ``None``.
 
     Probes the marshalled code object first (no parsing, no
-    compiling); on a cache-tag or marshal mismatch falls back to
-    recompiling ``resid.py`` — re-publishing a fresh code artifact for
-    this interpreter unless ``self_heal`` is off — and on any further
-    damage returns ``None`` (the caller drops to tier 1).  The
-    fallback is accounted, not silent: each unusable code artifact
-    bumps ``tier.code_decode_miss`` and emits a
-    ``tier.code_decode_miss`` event naming the key and reason."""
-    data = store.get_bytes(key, CODE_KIND)
-    if data is not None:
-        record = _unpack_code(data)
-        namespace = None
-        if record is not None:
-            try:
-                namespace = _exec_namespace(record["code"])
-            except Exception:
-                namespace = None
-        if namespace is not None:
+    compiling).  A code artifact that exists but cannot be used — a
+    foreign cache tag, a damaged record — bumps
+    ``tier.code_decode_miss`` and emits a ``tier.code_decode_miss``
+    event naming the key and reason; the callable is then re-emitted
+    from the key's ``resid.json`` (decoded through the store) and the
+    code artifact rewritten for this interpreter.  No code artifact,
+    or no usable ``resid.json`` behind a damaged one, is ``None``: the
+    caller drops to tier 1."""
+    data = disk.get_bytes(key, CODE_KIND)
+    if data is None:
+        return None
+    record, problem = _read_code(data)
+    if record is not None:
+        try:
+            namespace = _exec_namespace(record["code"])
+        except Exception:
+            problem = ("corrupt", "exec failed")
+        else:
             _count(obs, "tier.code_loads")
             return TierFunction(
                 record.get("entry", ""),
@@ -382,97 +252,70 @@ def load_compiled(store, key, obs=None, self_heal=True):
                 namespace,
                 origin="code",
             )
-        # A code artifact existed but could not be used.  Expected
-        # across interpreter upgrades (stale cache tag), a bug when it
-        # happens on the interpreter that wrote the artifact — so the
-        # miss is counted and announced, never silent.
-        _count(obs, "tier.code_decode_miss")
-        if obs is not None:
-            obs.bus.emit(
-                "tier.code_decode_miss",
-                key=key,
-                reason=(
-                    "exec failed" if record is not None
-                    else (validate_code_bytes(data) or ("stale", "?"))[1]
-                ),
-            )
-    text = store.get_text(key, RESID_PY_KIND)
-    if text is None:
-        return None
-    header = parse_source_header(text)
-    if header is None:
-        return None
-    entry, entry_py, dynamic_params = header
-    try:
-        code = compile(text, store.path(key, RESID_PY_KIND), "exec")
-        namespace = _exec_namespace(code)
-    except Exception:
-        return None
-    _count(obs, "tier.source_compiles")
-    if self_heal:
-        store.put_bytes(
-            key, CODE_KIND, _pack_code(entry, entry_py, dynamic_params, code)
+    # Expected across interpreter upgrades (stale cache tag), a bug when
+    # it happens on the interpreter that wrote the artifact — so the
+    # miss is counted and announced, never silent.
+    _count(obs, "tier.code_decode_miss")
+    if obs is not None:
+        obs.bus.emit(
+            "tier.code_decode_miss",
+            key=key,
+            reason=(problem or ("stale", "not a %s record" % TIER2_SCHEMA))[1],
         )
-    return TierFunction(
-        entry, entry_py, dynamic_params, namespace,
-        source=text, origin="source",
-    )
+    payload = STORE.read(disk, key, obs=obs)
+    if payload is None:
+        return None
+    fn, code_bytes = _compile_result(STORE.decode(key, payload, obs=obs), obs)
+    disk.put_bytes(key, CODE_KIND, code_bytes)
+    return fn
 
 
-def _persist(store, key, fn, code_bytes):
-    store.put_text(key, RESID_PY_KIND, fn.source)
-    store.put_bytes(key, CODE_KIND, code_bytes)
-
-
-def _promote(store, key, result, policy, obs, goal):
-    """Compile ``result``, persist the artifacts (policy permitting),
-    memoise, and account the promotion."""
+def _promote(disk, key, result, obs, goal):
+    """Compile ``result``, persist the code artifact when there is a
+    ``disk``, keep the callable in the store, and account the
+    promotion."""
     fn, code_bytes = _compile_result(result, obs=obs)
-    if store is not None and policy.persist:
-        _persist(store, key, fn, code_bytes)
+    persisted = disk is not None and key is not None
+    if persisted:
+        disk.put_bytes(key, CODE_KIND, code_bytes)
     if key is not None:
-        _memo_put(key, fn)
+        STORE.set_compiled(key, fn, obs=obs)
     _count(obs, "tier.promotions")
     if obs is not None:
         obs.bus.emit(
             "tier.promote", goal=goal, key=key, origin=fn.origin,
-            persisted=bool(store is not None and policy.persist),
+            persisted=persisted,
         )
     return fn
 
 
-def note_warm(cache, key, goal, options, obs=None, result=None, payload=None):
+def note_warm(disk, key, goal, options, obs=None, result=None, payload=None):
     """Consult the ladder from a warm specialise path (daemon worker,
     batch driver's in-parent hit): bump the key's hotness and, at the
-    policy's hot threshold, publish the tier-2 artifacts so executors
-    load compiled code instead of re-interpreting.  ``cache`` is a
-    :class:`~repro.speccache.SpecCache` or a bare
-    :class:`~repro.pipeline.cache.ArtifactCache`; the residual comes
-    from ``result`` or is decoded from ``payload`` (memoised, see
-    :func:`repro.speccache.decode_result`).  Returns the promoted
-    :class:`TierFunction` or ``None``."""
+    policy's hot threshold, publish the tier-2 artifact so executors
+    load compiled code instead of re-interpreting.  ``disk`` is the
+    :class:`~repro.pipeline.cache.ArtifactCache` the hit came from; the
+    residual comes from ``result`` or is decoded from ``payload``
+    through the store.  Returns the promoted :class:`TierFunction` or
+    ``None``."""
     policy = (options.tier_policy if options is not None else None) or (
         DEFAULT_TIER_POLICY
     )
-    count = _bump(key)
-    if count < policy.hot_after:
+    if STORE.bump(key, obs=obs) < policy.hot_after:
         return None
-    fn = _memo_get(key)
+    fn = STORE.compiled(key)
     if fn is not None:
         return fn
-    store = getattr(cache, "store", cache)
-    if store is not None and store.has(key, CODE_KIND):
-        fn = load_compiled(store, key, obs=obs)
+    if disk is not None:
+        fn = load_compiled(disk, key, obs=obs)
         if fn is not None:
-            _memo_put(key, fn)
+            STORE.set_compiled(key, fn, obs=obs)
             return fn
     if result is None and payload is not None:
-        from repro.speccache import decode_result
-
-        result = decode_result(payload, obs=obs)
+        result = STORE.decode(key, payload, obs=obs)
     if result is None:
         return None
-    return _promote(store, key, result, policy, obs, goal)
+    return _promote(disk, key, result, obs, goal)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +329,10 @@ class TierLadder:
     ``program`` (the *general* :class:`~repro.modsys.program.LinkedProgram`
     the genexts were compiled from) enables tier 0; without it cold
     goals start at tier 1.  ``options.cache_dir`` roots the persistent
-    store (both the residual payloads tier 1 hits and the tier-2
-    artifacts); ``options.tier_policy`` sets the thresholds.
+    objects — the residual payloads tier 1 hits and the tier-2 code
+    artifacts; without it, promotions stay in this process.  ``options.tier_policy`` sets the thresholds.
+    The ladder itself keeps only the promotion policy: counts and
+    callables live in the residual store.
 
     >>> import repro
     >>> from repro.backend.tiers import TierLadder
@@ -501,7 +346,7 @@ class TierLadder:
     [1, 1, 2, 2]
     """
 
-    def __init__(self, gp, options=None, obs=None, program=None, store=None):
+    def __init__(self, gp, options=None, obs=None, program=None):
         from repro.api import spec_options
         from repro.obs import Obs
 
@@ -510,9 +355,10 @@ class TierLadder:
         self.policy = self.options.tier_policy or DEFAULT_TIER_POLICY
         self.obs = obs if obs is not None else Obs()
         self.program = program
-        if store is None and self.options.cache_dir is not None:
-            store = ArtifactCache(self.options.cache_dir)
-        self.store = store
+        self.disk = (
+            None if self.options.cache_dir is None
+            else ArtifactCache(self.options.cache_dir)
+        )
         fingerprint = getattr(gp, "fingerprint", None)
         self._fingerprint = fingerprint() if callable(fingerprint) else None
 
@@ -521,8 +367,6 @@ class TierLadder:
         program has no fingerprint — no caching identity, no ladder)."""
         if self._fingerprint is None:
             return None
-        from repro.speccache import residual_cache_key
-
         return residual_cache_key(
             self._fingerprint, goal, static_args, self.options
         )
@@ -530,58 +374,69 @@ class TierLadder:
     def call(self, goal, static_args=None, dynamic_args=(), tier=None):
         """Execute ``goal`` on the given arguments; returns a
         :class:`TierRun`.  ``tier`` forces one rung (0/1/2) without
-        touching the hotness counters — the differential checker's
+        touching the hotness counts — the differential checker's
         probe; ``None`` lets the ladder decide."""
         static_args = dict(static_args or {})
         dynamic_args = tuple(dynamic_args)
-        key = self.key_for(goal, static_args)
         if tier is not None:
-            return self._forced(tier, goal, static_args, dynamic_args, key)
+            if tier == 0:
+                return self._tier0(goal, static_args, dynamic_args)
+            if tier == 1:
+                return self._tier1(goal, static_args, dynamic_args)
+            if tier == 2:
+                return self._run2(
+                    self.compiled(goal, static_args), dynamic_args
+                )
+            raise ValueError("tier must be 0, 1 or 2, got %r" % (tier,))
+        key = self.key_for(goal, static_args)
         if key is None:
             return self._tier1(goal, static_args, dynamic_args)
         # The hot path: one dict probe + one native call.
-        fn = _memo_get(key)
+        fn = STORE.compiled(key)
         if fn is not None:
             _count(self.obs, "tier.memo_hits")
             return self._run2(fn, dynamic_args, origin="memo")
-        count = _bump(key)
-        if self.store is not None:
-            # A persisted artifact is a durable promotion: a cold
-            # process serves a previously-hot goal at tier 2 at once.
-            fn = load_compiled(self.store, key, obs=self.obs)
-            if fn is not None:
-                _memo_put(key, fn)
-                return self._run2(fn, dynamic_args)
+        count = STORE.bump(key, obs=self.obs)
+        # A persisted artifact is a durable promotion: a cold process
+        # serves a previously-hot goal at tier 2 at once.
+        fn = self._load(key)
+        if fn is not None:
+            return self._run2(fn, dynamic_args)
         if count >= self.policy.hot_after:
             result = self._specialise(goal, static_args)
-            fn = _promote(
-                self.store, key, result, self.policy, self.obs, goal
-            )
+            fn = _promote(self.disk, key, result, self.obs, goal)
             return self._run2(fn, dynamic_args)
         if count >= self.policy.warm_after or self.program is None:
             return self._tier1(goal, static_args, dynamic_args)
         return self._tier0(goal, static_args, dynamic_args)
 
-    # -- the rungs ---------------------------------------------------
+    def compiled(self, goal, static_args=None):
+        """The tier-2 callable for one request, promoting it now if no
+        store entry or code artifact has it (hotness untouched)."""
+        static_args = dict(static_args or {})
+        key = self.key_for(goal, static_args)
+        if key is not None:
+            fn = STORE.compiled(key)
+            if fn is not None:
+                _count(self.obs, "tier.memo_hits")
+                return fn
+            fn = self._load(key)
+            if fn is not None:
+                return fn
+        result = self._specialise(goal, static_args)
+        return _promote(self.disk, key, result, self.obs, goal)
 
-    def _forced(self, tier, goal, static_args, dynamic_args, key):
-        if tier == 0:
-            return self._tier0(goal, static_args, dynamic_args)
-        if tier == 1:
-            return self._tier1(goal, static_args, dynamic_args)
-        if tier == 2:
-            fn = _memo_get(key) if key is not None else None
-            if fn is None and key is not None and self.store is not None:
-                fn = load_compiled(self.store, key, obs=self.obs)
-            if fn is None:
-                result = self._specialise(goal, static_args)
-                fn = _promote(
-                    self.store, key, result, self.policy, self.obs, goal
-                )
-            elif key is not None:
-                _memo_put(key, fn)
-            return self._run2(fn, dynamic_args)
-        raise ValueError("tier must be 0, 1 or 2, got %r" % (tier,))
+    def _load(self, key):
+        """The key's callable from its persisted code artifact, kept
+        in the store; ``None`` without a disk or an artifact."""
+        if self.disk is None:
+            return None
+        fn = load_compiled(self.disk, key, obs=self.obs)
+        if fn is not None:
+            STORE.set_compiled(key, fn, obs=self.obs)
+        return fn
+
+    # -- the rungs ---------------------------------------------------
 
     def _full_args(self, goal, static_args, dynamic_args):
         params = self.gp.signature(goal).params

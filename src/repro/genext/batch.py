@@ -17,7 +17,7 @@ Three layers of work avoidance stack:
    (``batch.deduped``).
 2. **Shared persistent cache** — with ``options.cache_dir`` set, warm
    requests are answered in the parent (one probe of the shared
-   :class:`~repro.speccache.SpecCache`, no dispatch at all), and every
+   :data:`~repro.speccache.STORE`, no dispatch at all), and every
    worker publishes what it computes; work one process did — in this
    batch, a previous batch, or a previous session — is a warm hit for
    all the others.  The store's atomic publication makes concurrent
@@ -247,26 +247,26 @@ def specialise_many(
         "batch.start", requests=len(reqs), unique=len(order), jobs=jobs
     )
 
-    from repro.speccache import decode_result
+    from repro.speccache import STORE, decode_result
 
     # Warm unique requests are answered in the parent, against the
     # caller's obs, without crossing a process boundary at all; only
     # cold ones are dispatched.
-    cache = None
+    disk = None
     if options.cache_dir is not None and fingerprint is not None:
-        from repro.speccache import SpecCache
+        from repro.pipeline.cache import ArtifactCache
 
-        cache = SpecCache(options.cache_dir, metrics=obs.metrics, bus=obs.bus)
+        disk = ArtifactCache(options.cache_dir)
 
     answered = {}  # key -> decoded SpecialisationResult
     cold = []  # keys still needing a specialisation run
     for key in order:
-        if cache is not None:
+        if disk is not None:
             goal = reqs[groups[key][0]].goal
-            payload = cache.get(key, goal=goal)
+            payload = STORE.read(disk, key, obs=obs, goal=goal)
             if payload is not None:
-                answered[key] = decode_result(
-                    payload, obs=obs, fuel=options.fuel
+                answered[key] = STORE.decode(
+                    key, payload, obs=obs, fuel=options.fuel
                 )
                 if options.tier_policy is not None:
                     # A warm hit is a reuse signal: let the execution
@@ -274,7 +274,7 @@ def specialise_many(
                     from repro.backend import tiers
 
                     tiers.note_warm(
-                        cache, key, goal, options,
+                        disk, key, goal, options,
                         obs=obs, result=answered[key],
                     )
                 continue
@@ -329,7 +329,12 @@ def specialise_many(
             for i in indices:
                 results[i] = result
         elif name in done:
-            result = decode_result(done[name], obs=obs, fuel=options.fuel)
+            if fingerprint is None:
+                result = decode_result(done[name], obs=obs, fuel=options.fuel)
+            else:
+                result = STORE.decode(
+                    key, done[name], obs=obs, fuel=options.fuel
+                )
             for i in indices:
                 results[i] = result
         else:

@@ -125,8 +125,8 @@ def specialise(gp, goal, static_args=None, options=None, obs=None):
     ``pending-pump`` → ``mk_resid:<version>``) and its ``spec.*``
     metrics.
 
-    With ``options.cache_dir`` set, results are kept in the persistent
-    residual cache (:mod:`repro.speccache`): a warm hit decodes the
+    With ``options.cache_dir`` set, results are kept in the residual
+    store (:mod:`repro.speccache`): a warm hit decodes the
     stored residual program — byte-identical to a cold run's — without
     constructing a :class:`~repro.genext.runtime.SpecState` at all.
     Runs with a ``sink`` bypass the cache, as do programs that cannot
@@ -141,20 +141,19 @@ def specialise(gp, goal, static_args=None, options=None, obs=None):
     tracer = obs.tracer
     static_args = dict(static_args or {})
 
-    cache = key = None
+    disk = key = None
     if options.cache_dir is not None and options.sink is None:
         fingerprint = getattr(gp, "fingerprint", None)
         fingerprint = fingerprint() if callable(fingerprint) else None
         if fingerprint is not None:
-            from repro.speccache import SpecCache, decode_result
+            from repro.pipeline.cache import ArtifactCache
+            from repro.speccache import STORE, residual_cache_key
 
-            cache = SpecCache(
-                options.cache_dir, metrics=obs.metrics, bus=obs.bus
-            )
-            key = cache.key(fingerprint, goal, static_args, options)
-            payload = cache.get(key, goal=goal)
+            disk = ArtifactCache(options.cache_dir)
+            key = residual_cache_key(fingerprint, goal, static_args, options)
+            payload = STORE.read(disk, key, obs=obs, goal=goal)
             if payload is not None:
-                return decode_result(payload, obs=obs, fuel=options.fuel)
+                return STORE.decode(key, payload, obs=obs, fuel=options.fuel)
 
     signature = gp.signature(goal)
     unknown = set(static_args) - set(signature.params)
@@ -222,10 +221,10 @@ def specialise(gp, goal, static_args=None, options=None, obs=None):
         obs=obs,
         fuel=options.fuel,
     )
-    if cache is not None:
-        from repro.speccache import encode_result
+    if disk is not None:
+        from repro.speccache import STORE, encode_result
 
-        cache.put(key, encode_result(result))
+        STORE.write(disk, key, encode_result(result), obs=obs)
     return result
 
 

@@ -40,7 +40,7 @@ class LoadedModule:
 
     ``source`` is the module's generated Python text when it is known
     (always, for the in-tree loaders); it feeds the program fingerprint
-    that keys the residual caches (:mod:`repro.speccache`)."""
+    that keys the residual store (:mod:`repro.speccache`)."""
 
     name: str
     imports: Tuple[str, ...]
@@ -95,9 +95,9 @@ class GenextProgram:
         generating-extension module *sources* plus the link topology
         (module names and import lists).  Two programs with the same
         fingerprint specialise identically, so it anchors the keys of
-        the persistent residual cache and the RTCG callable LRU
-        (:mod:`repro.speccache`).  ``None`` when any module was loaded
-        without its source text (caching is then disabled)."""
+        the residual store (:mod:`repro.speccache`).  ``None`` when any
+        module was loaded without its source text (caching is then
+        disabled)."""
         if self._fingerprint is None:
             h = hashlib.sha256(b"mspec-genext-fingerprint\x00")
             for name in sorted(self.modules):

@@ -61,6 +61,7 @@ from repro.lang.ast import App, Call, If, Lam, Lit, Prim, Var, count_nodes
 from repro.lang.names import NameSupply
 from repro.lang.prims import PrimError, apply_prim, is_pair
 from repro.obs.trace import NULL_TRACER
+from repro.stackguard import deep_stack
 
 # ``slots=True`` (3.10+) removes the per-instance ``__dict__`` from the
 # partially static values and runtime types — the two object families a
@@ -134,25 +135,18 @@ class SpecTimeout(SpecError):
     build worker even when each individual step is cheap."""
 
 
-class deep_recursion:
+class deep_recursion(deep_stack):
     """Context manager giving specialisation a deep Python stack and
     turning stack exhaustion into a diagnostic :class:`SpecError`
     (static unfolding mirrors the program's own recursion depth)."""
 
+    __slots__ = ()
+
     def __init__(self, limit=200_000):
-        self.limit = limit
-
-    def __enter__(self):
-        import sys
-
-        self._old = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(self._old, self.limit))
-        return self
+        super().__init__(limit)
 
     def __exit__(self, exc_type, exc, tb):
-        import sys
-
-        sys.setrecursionlimit(self._old)
+        super().__exit__(exc_type, exc, tb)
         if exc_type is RecursionError:
             raise SpecError(
                 "specialisation recursed too deeply: static unfolding "

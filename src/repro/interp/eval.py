@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.lang.ast import App, Call, If, Lam, Lit, Prim, Var
 from repro.lang.prims import PrimError, apply_prim
+from repro.stackguard import deep_stack
 
 
 class EvalError(Exception):
@@ -112,16 +113,11 @@ def run_program(linked, func, args, fuel=1_000_000):
     The evaluator is recursive; deep object-language recursion is given
     extra interpreter stack, and Python-level stack exhaustion surfaces
     as :class:`EvalError` rather than ``RecursionError``."""
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 100_000))
     try:
-        return Interpreter(linked, fuel=fuel).call(func, list(args))
+        with deep_stack():
+            return Interpreter(linked, fuel=fuel).call(func, list(args))
     except RecursionError:
         raise EvalError("object-language recursion too deep")
-    finally:
-        sys.setrecursionlimit(old_limit)
 
 
 def run_main(linked, args, fuel=1_000_000):

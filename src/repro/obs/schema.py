@@ -71,28 +71,26 @@ _NUMBER = (int, float)
 # docs/performance.md.)
 WELL_KNOWN_COUNTERS = frozenset(
     [
+        # The residual store (repro.speccache, docs/performance.md "The
+        # residual store"): resid.json probes and writes, decodes that
+        # reused an entry's parse, and entries evicted past capacity.
         "speccache.hits",
         "speccache.misses",
         "speccache.reads",
         "speccache.writes",
-        "rtcg.lru_hits",
-        "rtcg.lru_misses",
-        "rtcg.lru_evictions",
-        # Warm-hit payload decoding (repro.speccache.decode_result):
-        # memo hits skip the parse/re-link of the residual text.
         "speccache.decode_hits",
         "speccache.decode_misses",
+        "speccache.evictions",
         # The execution ladder (repro.backend.tiers, docs/performance.md
-        # "Execution tiers"): runs per tier, memoised-callable probes,
-        # promotions, and how tier-2 callables were obtained (loaded
-        # marshalled code / recompiled resid.py / emitted from the AST).
+        # "Execution tiers"): runs per tier, hits on a compiled store
+        # entry, promotions, and how tier-2 callables were obtained
+        # (loaded marshalled code / emitted from a residual).
         "tier.t0_runs",
         "tier.t1_runs",
         "tier.t2_runs",
         "tier.memo_hits",
         "tier.promotions",
         "tier.code_loads",
-        "tier.source_compiles",
         "tier.emitted",
         "batch.requests",
         "batch.deduped",

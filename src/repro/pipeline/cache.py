@@ -26,7 +26,9 @@ import sys
 import tempfile
 
 # Compiled code objects are interpreter-specific; the kind tag carries
-# the cache tag so interpreters never read each other's bytecode.
+# the cache tag so interpreters never read each other's bytecode.  The
+# execution ladder (repro.backend.tiers) files its tier-2 code under
+# this kind too, next to the resid.json payload of the same key.
 CODE_KIND = "code-%s.bin" % (sys.implementation.cache_tag or "unknown")
 IFACE_KIND = "bti.json"
 GENEXT_KIND = "genext.py"
@@ -35,12 +37,6 @@ GENEXT_KIND = "genext.py"
 # hash domain, so the namespaces can never collide, and fsck validates
 # the payloads like any other kind.
 RESID_KIND = "resid.json"
-# The residual program emitted as a real Python module
-# (repro.backend.tiers): the durable tier-2 format, stored next to the
-# resid.json payload under the same residual cache key.  The matching
-# marshalled code object lives under CODE_KIND (cache-tag keyed, so a
-# different interpreter recompiles from this source instead).
-RESID_PY_KIND = "resid.py"
 # Per-definition build records (repro.pipeline.incremental): one JSON
 # document per module build holding each SCC's schemes, dependency
 # reads and cogen fragments, keyed like the module's other artifacts.

@@ -60,10 +60,13 @@ from repro.pipeline.cache import (
     IFACE_KIND,
     QUARANTINE_DIRNAME,
     RESID_KIND,
-    RESID_PY_KIND,
     TMP_PREFIX,
     TMP_SUFFIX,
 )
+
+# The emitted-source kind the tier-2 ladder once stored beside
+# resid.json; fsck reports leftovers as stale.
+RETIRED_SOURCE_KIND = "resid.py"
 
 # Exit codes, one per failure class (the CLI contract; see
 # docs/robustness.md).  Highest-severity class wins for mixed reports.
@@ -487,10 +490,11 @@ class FsckReport:
     ``quarantined`` is damage (torn, unparseable, wrong-named);
     ``stale`` is a *distinct* finding kind — artifacts that are intact
     but that no loader on this interpreter would use (a tier-2 code
-    object with another build's cache tag, an emitted ``resid.py``
-    missing its header).  Both move to the quarantine directory (a
-    stale object is dead weight either way and regenerates on demand),
-    but tooling can tell rot from drift."""
+    object with another build's cache tag, a ``resid.py`` left by a
+    store written before tier 2 re-emitted from ``resid.json``).  Both
+    move to the quarantine directory (a stale object is dead weight
+    either way, and what a loader needs regenerates on demand), but
+    tooling can tell rot from drift."""
 
     scanned: int = 0
     quarantined: List[Tuple[str, str]] = field(default_factory=list)
@@ -540,6 +544,13 @@ def _validate_object(kind, data):
     """``None`` if ``data`` is a well-formed artifact of ``kind``, else
     a ``(category, reason)`` pair — ``"corrupt"`` for damage,
     ``"stale"`` for intact-but-unusable (see :class:`FsckReport`)."""
+    if kind == RETIRED_SOURCE_KIND:
+        # Emitted tier-2 source left by a store written before tier 2
+        # re-emitted from resid.json: nothing reads it any more, so it
+        # is dead weight, not damage.
+        return (
+            "stale", "retired tier-2 source (tier 2 re-emits from resid.json)"
+        )
     if not data:
         return ("corrupt", "empty object")
     if kind == IFACE_KIND:
@@ -591,14 +602,6 @@ def _validate_object(kind, data):
             )
             return (category, "%s: %s" % (label, reason))
         return None
-    if kind == RESID_PY_KIND:
-        from repro.backend.tiers import validate_source_bytes
-
-        problem = validate_source_bytes(data)
-        if problem is not None:
-            category, reason = problem
-            return (category, "emitted residual source: %s" % reason)
-        return None
     if kind == RESID_KIND:
         from repro.speccache import validate_payload_bytes
 
@@ -618,14 +621,13 @@ def fsck_cache(cache):
     * the file name must be ``<64-hex-key>.<kind>`` and live in the
       ``<key[:2]>`` fan-out directory;
     * the payload must be well-formed for its kind (interfaces parse,
-      genext and emitted residual sources compile, code objects
+      genext sources compile, residual payloads parse, code objects
       unmarshal, nothing empty).
 
     Intact artifacts no loader on this interpreter would use — a
-    tier-2 code record with a foreign cache tag, an emitted
-    ``resid.py`` without its header — are quarantined too but reported
-    under the distinct ``stale`` finding kind (they regenerate on
-    demand; see :class:`FsckReport`).  Code objects of *other*
+    tier-2 code record with a foreign cache tag, a leftover
+    ``resid.py`` — are quarantined too but reported under the distinct
+    ``stale`` finding kind (see :class:`FsckReport`).  Code objects of *other*
     interpreters cannot be validated here and are reported as foreign,
     untouched.  Damaged objects move to
     ``<root>/quarantine/<filename>`` (same-filesystem rename), so

@@ -4,9 +4,9 @@ The paper's economics say analysis and cogen happen once, and
 specialisation is the cheap repeated step — but the CLI re-pays the
 expensive part on every invocation: re-parse, re-analyse, re-link,
 re-fork a pool, all for requests that take microseconds once warm
-(``BENCH_spec_throughput.json``: warm cache hits ~100µs, RTCG LRU hits
-~2400×; ``BENCH_parallel_pipeline.json``: parallel *losing* to serial
-because fork/pickle overhead dominates).  :class:`SpecServer` keeps all
+(``BENCH_spec_throughput.json``: warm cache hits ~100µs, compiled
+callable hits ~2400×; ``BENCH_parallel_pipeline.json``: parallel
+*losing* to serial because fork/pickle overhead dominates).  :class:`SpecServer` keeps all
 of it resident:
 
 * the module directory is loaded, analysed, cogen'd, and **linked
@@ -16,9 +16,9 @@ of it resident:
   startup** — on ``fork`` platforms the workers inherit the linked
   program through :data:`repro.genext.batch._WORKER_PROGRAMS`, so a
   cold request never pickles a program and never re-links;
-* the persistent residual cache (:class:`~repro.speccache.SpecCache`)
-  and the RTCG LRU stay **hot across requests**: a warm request is
-  answered in-parent from the cache, exactly the
+* the residual store (:data:`~repro.speccache.STORE` over the
+  ``--cache-dir`` objects) stays **hot across requests**: a warm
+  request is answered in-parent from the store, exactly the
   :func:`~repro.genext.batch.specialise_many` warm path, without
   touching the pool at all;
 * requests pass an **admission layer** first: at most ``max_inflight``
@@ -67,10 +67,11 @@ from repro.genext.runtime import SpecError
 from repro.modsys.program import SOURCE_SUFFIX
 from repro.obs import EventBus, MetricsRegistry, Obs, Tracer
 from repro.pipeline import faultinject
+from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.faults import FaultPolicy, KIND_TIMEOUT
 from repro.pipeline.pool import WorkerPool
 from repro.serve import protocol
-from repro.speccache import SpecCache, encode_result, residual_cache_key
+from repro.speccache import STORE, encode_result, residual_cache_key
 
 __all__ = ["ServeConfig", "SpecServer", "serve_forever"]
 
@@ -215,9 +216,7 @@ class SpecServer:
             self.options = self.options.replace(
                 tier_policy=TierPolicy(hot_after=config.tier_hot)
             )
-        self.cache = SpecCache(
-            config.cache_dir, metrics=obs.metrics, bus=obs.bus
-        )
+        self.disk = ArtifactCache(config.cache_dir)
 
         # Admission state: inflight + queued under one condition.
         self._adm = threading.Condition()
@@ -287,7 +286,6 @@ class SpecServer:
             options=self.options,
             obs=self.obs,
             program=load_program_dir(self.config.dir),
-            store=self.cache.store,
         )
         return _ProgramState(gp, fingerprint, digest, ladder)
 
@@ -543,14 +541,14 @@ class SpecServer:
 
         # Warm path: answered in the parent from the shared cache, no
         # process boundary crossed — exactly specialise_many's probe.
-        payload = self.cache.get(key, goal=goal)
+        payload = STORE.read(self.disk, key, obs=self.obs, goal=goal)
         if payload is not None:
             self.obs.metrics.counter("serve.warm").inc()
             if self.options.tier_policy is not None:
                 from repro.backend import tiers
 
                 tiers.note_warm(
-                    self.cache, key, goal, self.options,
+                    self.disk, key, goal, self.options,
                     obs=self.obs, payload=payload,
                 )
             return protocol.ok_response(
@@ -568,7 +566,7 @@ class SpecServer:
             if deadline_at is not None:
                 timeout = max(0.0, deadline_at - time.perf_counter())
             leader_done.wait(timeout)
-            payload = self.cache.get(key, goal=goal)
+            payload = STORE.read(self.disk, key, obs=self.obs, goal=goal)
             if payload is not None:
                 self.obs.metrics.counter("serve.warm").inc()
                 return protocol.ok_response(

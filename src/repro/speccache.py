@@ -1,4 +1,4 @@
-"""The persistent residual cache: specialisation results on disk.
+"""The residual store: one key, one in-process entry, one file on disk.
 
 PR 1 made *builds* content-addressed; this module does the same for the
 specialisation layer.  The paper's economics (Sec. 8, via LL94) are
@@ -6,7 +6,7 @@ that analysis and cogen happen once while specialisation is the cheap,
 repeated step — but "cheap" still means running the whole generating-
 extension pump and assembling a residual program.  Serving many users
 means serving *repeated* requests, and a repeated request should cost a
-key computation and one read.
+key computation and a lookup.
 
 Key anatomy
 -----------
@@ -37,19 +37,30 @@ at all.
 Storage
 -------
 
-Payloads are canonical JSON (:data:`SPECCACHE_SCHEMA`) holding the
-pretty-printed residual program — the pretty-printer/parser round-trip
-is exact, so a decoded result is byte-identical to a cold run's — and
-live in the same atomic-write content-addressed object store as the
-build artifacts (:class:`~repro.pipeline.cache.ArtifactCache`, kind
-``resid.json``): concurrent writers can race safely, readers never see
-torn files, ``mspec fsck`` validates and quarantines, and the store may
-be shared between processes — which is what gives the batch driver its
-cross-process dedup.
+:data:`STORE` is the process-wide :class:`ResidualStore`: one LRU keyed
+by the residual key, under one lock and one capacity
+(:data:`STORE_CAPACITY`).  Each entry holds the key's request count
+(the execution ladder's hotness), the decoded residual once decoded,
+and the tier-2 callable once compiled
+(:mod:`repro.backend.tiers`).
 
-Counters (``speccache.hits`` / ``misses`` / ``reads`` / ``writes``) land
-in the attached :class:`~repro.obs.metrics.MetricsRegistry`; each probe
-also emits a ``speccache.hit`` / ``speccache.miss`` event on the bus.
+On disk the one residual entry is ``<key>.resid.json`` in the same
+atomic-write content-addressed object store as the build artifacts
+(:class:`~repro.pipeline.cache.ArtifactCache`): canonical JSON
+(:data:`SPECCACHE_SCHEMA`) holding the pretty-printed residual program
+— the pretty-printer/parser round-trip is exact, so a decoded result is
+byte-identical to a cold run's.  Concurrent writers can race safely,
+readers never see torn files, ``mspec fsck`` validates and
+quarantines, and the directory may be shared between processes, which
+is what gives the batch driver its cross-process dedup.  Beside it the
+ladder keeps one marshalled code object per interpreter,
+``<key>.code-<cache_tag>.bin``.
+
+Counters (``speccache.hits`` / ``misses`` / ``reads`` / ``writes`` /
+``decode_hits`` / ``decode_misses`` / ``evictions``, and the
+``speccache.lru_len`` gauge) land in the caller's
+:class:`~repro.obs.metrics.MetricsRegistry`; each disk probe also emits
+a ``speccache.hit`` / ``speccache.miss`` event on the bus.
 """
 
 import hashlib
@@ -62,13 +73,14 @@ from repro.lang.errors import LangError
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
 from repro.modsys.program import link_program
-from repro.pipeline.cache import RESID_KIND, ArtifactCache
+from repro.pipeline.cache import RESID_KIND
 
 __all__ = [
     "SPECCACHE_SCHEMA",
-    "SpecCache",
+    "STORE",
+    "STORE_CAPACITY",
+    "ResidualStore",
     "canonical_static_args",
-    "clear_decode_memo",
     "decode_result",
     "encode_result",
     "residual_cache_key",
@@ -153,57 +165,15 @@ def encode_result(result):
     }
 
 
-# Decoding a payload parses and re-links the pretty-printed residual —
-# cheap next to a specialisation run, but the daemon's warm path and
-# the batch driver's dedup decode the *same* payload over and over.
-# The parse/link pair is therefore memoised per process, keyed by the
-# program text's digest, in a bounded LRU; the AST and the linked view
-# are immutable after construction, so sharing them across results is
-# safe (one SpecialisationResult already serves every dedup index in
-# the batch driver).  Hits/misses land in the caller's registry as
-# ``speccache.decode_hits`` / ``speccache.decode_misses``.
-_DECODE_CAPACITY = 256
-_DECODE_MEMO = OrderedDict()  # sha256(program) -> (program, linked)
-_DECODE_LOCK = threading.Lock()
-
-
-def clear_decode_memo():
-    """Drop every memoised parse (test isolation)."""
-    with _DECODE_LOCK:
-        _DECODE_MEMO.clear()
-
-
 def _decode_program(text):
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    with _DECODE_LOCK:
-        hit = _DECODE_MEMO.get(digest)
-        if hit is not None:
-            _DECODE_MEMO.move_to_end(digest)
-    if hit is not None:
-        return hit + (True,)
     program = parse_program(text)
-    linked = link_program(program)
-    with _DECODE_LOCK:
-        _DECODE_MEMO[digest] = (program, linked)
-        _DECODE_MEMO.move_to_end(digest)
-        while len(_DECODE_MEMO) > _DECODE_CAPACITY:
-            _DECODE_MEMO.popitem(last=False)
-    return program, linked, False
+    return program, link_program(program)
 
 
-def decode_result(payload, obs=None, fuel=None):
-    """Rebuild a :class:`~repro.genext.engine.SpecialisationResult` from
-    a payload: parse the pretty-printed residual program and re-link it
-    (memoised per process — a repeated warm hit is one digest plus two
-    dict probes).  ``fuel`` is the caller's interpretation budget — an
-    execution knob, not part of the cached identity."""
+def _result_of(payload, decoded, obs, fuel):
     from repro.genext.engine import SpecialisationResult
 
-    program, linked, hit = _decode_program(payload["program"])
-    if obs is not None:
-        obs.metrics.counter(
-            "speccache.decode_hits" if hit else "speccache.decode_misses"
-        ).inc()
+    program, linked = decoded
     result = SpecialisationResult(
         program=program,
         linked=linked,
@@ -219,6 +189,16 @@ def decode_result(payload, obs=None, fuel=None):
     if fuel is not None:
         result.fuel = fuel
     return result
+
+
+def decode_result(payload, obs=None, fuel=None):
+    """Rebuild a :class:`~repro.genext.engine.SpecialisationResult` from
+    a payload: parse the pretty-printed residual program and re-link it.
+    ``fuel`` is the caller's interpretation budget — an execution knob,
+    not part of the cached identity.  Callers holding the residual key
+    decode through :meth:`ResidualStore.decode` instead, which parses
+    each key once per process."""
+    return _result_of(payload, _decode_program(payload["program"]), obs, fuel)
 
 
 def validate_payload_bytes(data):
@@ -254,50 +234,151 @@ def validate_payload_bytes(data):
 
 
 # ---------------------------------------------------------------------------
-# The cache itself.
+# The store.
 # ---------------------------------------------------------------------------
 
+# One capacity for everything the process keeps per key: the hotness
+# count, the decoded residual and the compiled callable live and die
+# together.
+STORE_CAPACITY = 256
 
-class SpecCache:
-    """Persistent residual-program cache rooted at ``root``.
 
-    A thin policy layer over :class:`~repro.pipeline.cache.ArtifactCache`
-    (same object layout, same atomic publication, same fsck), adding the
-    key schema, payload validation, and the ``speccache.*`` accounting.
-    """
+class _Entry:
+    __slots__ = ("hotness", "decoded", "compiled")
 
-    def __init__(self, root, metrics=None, bus=None):
-        self.store = ArtifactCache(root)
-        self.metrics = metrics
-        self.bus = bus
+    def __init__(self):
+        self.hotness = 0
+        self.decoded = None  # (program, linked) once decoded
+        self.compiled = None  # the tier-2 TierFunction once compiled
 
-    def _count(self, name, n=1):
-        if self.metrics is not None:
-            self.metrics.counter("speccache." + name).inc(n)
 
-    def _event(self, name, **payload):
-        if self.bus is not None:
-            self.bus.emit(name, **payload)
+def _count(obs, name, n=1):
+    if obs is not None:
+        obs.metrics.counter(name).inc(n)
 
-    def key(self, fingerprint, goal, static_args, options):
-        return residual_cache_key(fingerprint, goal, static_args, options)
 
-    def get(self, key, goal=None):
-        """The cached payload dict for ``key``, or ``None`` on a miss
-        (absent, torn, or corrupt — a corrupt entry simply recomputes)."""
-        data = self.store.get_bytes(key, RESID_KIND)
+class ResidualStore:
+    """The process-wide residual store: one LRU of :class:`_Entry`
+    objects keyed by :func:`residual_cache_key`, under one lock, over
+    the on-disk ``resid.json`` entries of an
+    :class:`~repro.pipeline.cache.ArtifactCache`.
+
+    Every structural operation holds the lock; the expensive work —
+    reading disk, parsing, specialising, compiling — happens outside
+    it.  Two threads racing on one cold key may both compute; the last
+    write wins and both results are correct.  Inserting past
+    :attr:`capacity` evicts the least recently used entry
+    (``speccache.evictions``); each insert refreshes the
+    ``speccache.lru_len`` gauge."""
+
+    def __init__(self):
+        self.capacity = STORE_CAPACITY
+        self._lock = threading.Lock()
+        self._entries = OrderedDict()  # key -> _Entry, most-recent last
+
+    def __len__(self):
+        with self._lock:
+            return len(self._entries)
+
+    def clear(self):
+        """Drop every entry (test isolation; also how a restart is
+        simulated in-process)."""
+        with self._lock:
+            self._entries.clear()
+
+    def _entry(self, key):
+        """The entry for ``key``, created if absent; call with the lock
+        held.  Returns ``(entry, evicted, length)``."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            return entry, 0, None
+        entry = self._entries[key] = _Entry()
+        evicted = 0
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            evicted += 1
+        return entry, evicted, len(self._entries)
+
+    def _account(self, obs, evicted, length):
+        if obs is None or length is None:
+            return
+        if evicted:
+            obs.metrics.counter("speccache.evictions").inc(evicted)
+        obs.metrics.gauge("speccache.lru_len").set(length)
+
+    def bump(self, key, obs=None):
+        """Count one more request for ``key``; returns the new count."""
+        with self._lock:
+            entry, evicted, length = self._entry(key)
+            entry.hotness += 1
+            count = entry.hotness
+        self._account(obs, evicted, length)
+        return count
+
+    def compiled(self, key):
+        """The key's tier-2 callable, or ``None`` (never inserts)."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry.compiled is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry.compiled
+
+    def set_compiled(self, key, fn, obs=None):
+        with self._lock:
+            entry, evicted, length = self._entry(key)
+            entry.compiled = fn
+        self._account(obs, evicted, length)
+
+    def decode(self, key, payload, obs=None, fuel=None):
+        """:func:`decode_result` through the key's entry: the first
+        decode parses and links, later ones reuse the immutable program
+        and linked view in a fresh result wrapper
+        (``speccache.decode_hits`` / ``decode_misses``)."""
+        with self._lock:
+            entry = self._entries.get(key)
+            decoded = None if entry is None else entry.decoded
+            if decoded is not None:
+                self._entries.move_to_end(key)
+        _count(
+            obs,
+            "speccache.decode_misses" if decoded is None
+            else "speccache.decode_hits",
+        )
+        if decoded is None:
+            decoded = _decode_program(payload["program"])
+            with self._lock:
+                entry, evicted, length = self._entry(key)
+                entry.decoded = decoded
+            self._account(obs, evicted, length)
+        return _result_of(payload, decoded, obs, fuel)
+
+    # -- the durable entry -----------------------------------------------
+
+    def read(self, disk, key, obs=None, goal=None):
+        """The ``resid.json`` payload dict for ``key`` in ``disk`` (an
+        :class:`~repro.pipeline.cache.ArtifactCache`), or ``None`` on a
+        miss (absent, torn, or corrupt — a corrupt entry simply
+        recomputes)."""
+        data = disk.get_bytes(key, RESID_KIND)
         if data is not None:
-            self._count("reads")
+            _count(obs, "speccache.reads")
             if validate_payload_bytes(data) is None:
-                self._count("hits")
-                self._event("speccache.hit", key=key, goal=goal)
+                _count(obs, "speccache.hits")
+                if obs is not None:
+                    obs.bus.emit("speccache.hit", key=key, goal=goal)
                 return json.loads(data.decode("utf-8"))
-        self._count("misses")
-        self._event("speccache.miss", key=key, goal=goal)
+        _count(obs, "speccache.misses")
+        if obs is not None:
+            obs.bus.emit("speccache.miss", key=key, goal=goal)
         return None
 
-    def put(self, key, payload):
+    def write(self, disk, key, payload, obs=None):
         """Atomically publish one payload; returns its path."""
-        self._count("writes")
+        _count(obs, "speccache.writes")
         data = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-        return self.store.put_text(key, RESID_KIND, data)
+        return disk.put_text(key, RESID_KIND, data)
+
+
+STORE = ResidualStore()

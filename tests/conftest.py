@@ -222,14 +222,12 @@ go a b = if xor a true then (if b then 1 else 2) else 3
 
 
 @pytest.fixture(autouse=True)
-def _fresh_tier_state():
-    """Process-wide execution-ladder state (hotness counters, compiled
-    memo, decode memo) never leaks between tests."""
-    from repro.backend.tiers import clear_tiers
-    from repro.speccache import clear_decode_memo
+def _fresh_residual_store():
+    """The process-wide residual store (hotness counts, decoded
+    residuals, compiled callables) never leaks between tests."""
+    from repro.speccache import STORE
 
-    clear_tiers()
-    clear_decode_memo()
+    STORE.clear()
 
 
 @pytest.fixture(autouse=True)

@@ -1,12 +1,12 @@
-"""Concurrency hammers: the RTCG LRU under threads, the residual
-cache under racing processes.
+"""Concurrency hammers: the residual store's LRU under threads, its
+on-disk entries under racing processes.
 
-The serve daemon turned both shared structures into genuinely
-concurrent ones — request-handler threads probe the process-wide RTCG
-LRU, and separate worker *processes* publish into one on-disk
-``SpecCache``.  These tests exercise exactly those regimes: no torn
-state, no exceptions, invariants (bounded LRU, valid payloads) hold at
-every observation point.
+The serve daemon turned both halves of the store into genuinely
+concurrent structures — request-handler threads probe the process-wide
+LRU, and separate worker *processes* publish ``resid.json`` entries
+into one directory.  These tests exercise exactly those regimes: no
+torn state, no exceptions, invariants (bounded LRU, valid payloads)
+hold at every observation point.
 """
 
 import json
@@ -16,11 +16,13 @@ import time
 
 import repro
 from repro.api import SpecOptions
-from repro.backend import rtcg
+from repro.backend import generate
+from repro.pipeline.cache import ArtifactCache
 from repro.speccache import (
     RESID_KIND,
-    SpecCache,
+    STORE,
     encode_result,
+    residual_cache_key,
     validate_payload_bytes,
 )
 
@@ -32,64 +34,58 @@ power n x = if n == 1 then x else x * power (n - 1) x
 
 
 # ---------------------------------------------------------------------------
-# RTCG LRU: many threads, one bounded cache.
+# The store's LRU: many threads, one bounded store.
 # ---------------------------------------------------------------------------
 
 
-def test_rtcg_lru_survives_thread_hammer():
+def test_rtcg_lru_survives_thread_hammer(monkeypatch):
     gp = repro.compile_genexts(POWER)
     errors = []
     barrier = threading.Barrier(6)
     stop = threading.Event()
+    monkeypatch.setattr(STORE, "capacity", 4)
 
     def worker(seed):
         try:
             barrier.wait(timeout=30)
             for i in range(40):
                 n = 1 + (seed + i) % 7  # 7 distinct keys, capacity 4
-                fn = rtcg.generate(gp, "power", {"n": n})
+                fn = generate(gp, "power", {"n": n})
                 if fn(2) != 2 ** n:
                     errors.append("wrong value for n=%d" % n)
                 # The invariant must hold at every observation point,
                 # not just at the end: never more entries than the
-                # largest capacity the churn thread ever sets.
-                if rtcg.lru_len() > 5:
-                    errors.append("lru overflow: %d" % rtcg.lru_len())
+                # capacity.
+                if len(STORE) > 4:
+                    errors.append("lru overflow: %d" % len(STORE))
         except Exception as exc:  # noqa: BLE001 - the hammer reports all
             errors.append(repr(exc))
 
     def churn():
         try:
             barrier.wait(timeout=30)
-            caps = [3, 5, 4]
             i = 0
             while not stop.is_set():
-                rtcg.configure_lru(caps[i % len(caps)])
                 if i % 4 == 3:
-                    rtcg.clear_lru()
+                    STORE.clear()
                 i += 1
                 time.sleep(0.001)
         except Exception as exc:  # noqa: BLE001
             errors.append(repr(exc))
 
+    threads = [threading.Thread(target=worker, args=(s,)) for s in range(5)]
+    churner = threading.Thread(target=churn)
     try:
-        rtcg.configure_lru(4)
-        rtcg.clear_lru()
-        threads = [threading.Thread(target=worker, args=(s,)) for s in range(5)]
-        churner = threading.Thread(target=churn)
         for t in threads:
             t.start()
         churner.start()
         for t in threads:
             t.join(timeout=120)
-        stop.set()
-        churner.join(timeout=30)
-        assert not errors, errors[:5]
-        assert rtcg.lru_len() <= 5
     finally:
         stop.set()
-        rtcg.configure_lru(128)
-        rtcg.clear_lru()
+        churner.join(timeout=30)
+    assert not errors, errors[:5]
+    assert len(STORE) <= 4
 
 
 def test_rtcg_lru_concurrent_same_cold_key_both_correct():
@@ -102,38 +98,65 @@ def test_rtcg_lru_concurrent_same_cold_key_both_correct():
 
     def race():
         barrier.wait(timeout=30)
-        fn = rtcg.generate(gp, "power", {"n": 5})
+        fn = generate(gp, "power", {"n": 5})
         with lock:
             results.append(fn(3))
 
+    threads = [threading.Thread(target=race) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert results == [243, 243, 243, 243]
+    assert len(STORE) == 1
+
+
+def test_store_hotness_counts_every_concurrent_bump():
+    # The hotness count is a read-modify-write on a shared entry; a
+    # lost update would delay (or skip) a promotion.
+    import sys
+
+    threads_n, rounds = 8, 300
+    barrier = threading.Barrier(threads_n)
+    counts = []
+    lock = threading.Lock()
+
+    def bump():
+        barrier.wait(timeout=30)
+        last = 0
+        for _ in range(rounds):
+            last = STORE.bump("k" * 64)
+        with lock:
+            counts.append(last)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        rtcg.configure_lru(8)
-        rtcg.clear_lru()
-        threads = [threading.Thread(target=race) for _ in range(4)]
+        threads = [threading.Thread(target=bump) for _ in range(threads_n)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=60)
-        assert results == [243, 243, 243, 243]
-        assert rtcg.lru_len() == 1
     finally:
-        rtcg.configure_lru(128)
-        rtcg.clear_lru()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert max(counts) == threads_n * rounds
+    assert STORE.bump("k" * 64) == threads_n * rounds + 1
 
 
 # ---------------------------------------------------------------------------
-# SpecCache: racing OS processes, never a torn payload.
+# resid.json entries: racing OS processes, never a torn payload.
 # ---------------------------------------------------------------------------
 
 
 def _hammer_put(root, key, payload, rounds):
-    cache = SpecCache(root)
+    disk = ArtifactCache(root)
     for _ in range(rounds):
-        cache.put(key, payload)
+        STORE.write(disk, key, payload)
 
 
 def _payload_bytes(payload):
-    """The exact bytes ``SpecCache.put`` publishes for ``payload``."""
+    """The exact bytes ``ResidualStore.write`` publishes for ``payload``."""
     return (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode(
         "utf-8"
     )
@@ -149,8 +172,8 @@ def test_speccache_racing_writers_never_torn(tmp_path):
     valid = {_payload_bytes(payload_a), _payload_bytes(payload_b)}
 
     root = str(tmp_path / "cache")
-    cache = SpecCache(root)
-    key = cache.key(gp.fingerprint(), "power", {"n": 3}, SpecOptions())
+    disk = ArtifactCache(root)
+    key = residual_cache_key(gp.fingerprint(), "power", {"n": 3}, SpecOptions())
 
     writers = [
         multiprocessing.Process(
@@ -163,7 +186,7 @@ def test_speccache_racing_writers_never_torn(tmp_path):
     try:
         observations = 0
         while any(p.is_alive() for p in writers):
-            data = cache.store.get_bytes(key, RESID_KIND)
+            data = disk.get_bytes(key, RESID_KIND)
             if data is not None:
                 observations += 1
                 # Atomic publication: a reader sees exactly one of the
@@ -176,7 +199,7 @@ def test_speccache_racing_writers_never_torn(tmp_path):
     assert all(p.exitcode == 0 for p in writers)
     assert observations > 0, "reader never overlapped the writers"
 
-    final = cache.get(key, goal="power")
+    final = STORE.read(disk, key, goal="power")
     assert final in (payload_a, payload_b)
 
 
@@ -187,8 +210,8 @@ def test_speccache_writer_racing_reader_through_api(tmp_path):
     payload = encode_result(repro.specialise(gp, "power", {"n": 4}))
 
     root = str(tmp_path / "cache")
-    cache = SpecCache(root)
-    key = cache.key(gp.fingerprint(), "power", {"n": 4}, SpecOptions())
+    disk = ArtifactCache(root)
+    key = residual_cache_key(gp.fingerprint(), "power", {"n": 4}, SpecOptions())
 
     writer = multiprocessing.Process(
         target=_hammer_put, args=(root, key, payload, 200)
@@ -197,7 +220,7 @@ def test_speccache_writer_racing_reader_through_api(tmp_path):
     try:
         hits = 0
         while writer.is_alive():
-            got = cache.get(key, goal="power")
+            got = STORE.read(disk, key, goal="power")
             if got is not None:
                 hits += 1
                 assert got == payload

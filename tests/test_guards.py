@@ -1,5 +1,6 @@
 """The runtime's resource guards: interpreter ``fuel``, the
-``deep_recursion`` stack guard, the ``max_versions`` polyvariance bound,
+``deep_recursion`` stack guard (and the shared ``deep_stack`` guard
+under it), the ``max_versions`` polyvariance bound,
 and the wall-clock specialisation deadline (``SpecTimeout``).  Only the
 happy paths were covered before; these exercise the exhaustion paths."""
 
@@ -104,6 +105,68 @@ def test_real_runaway_static_unfolding_is_diagnosed():
                 gp.mk("spin")(st, S, SBase(0))
     finally:
         sys.setrecursionlimit(original)
+
+
+def test_interleaved_deep_calls_keep_the_raised_limit():
+    """Two threads inside the stack guard at once: B enters, A enters,
+    B exits while A still runs.  A's deep residual must still have the
+    raised limit (a save/restore guard would have put the old limit
+    back under it), and the limit is restored once both are out."""
+    import threading
+
+    from repro.backend.pyemit import _mangle, compile_program
+
+    before = sys.getrecursionlimit()
+    depth = 5 * before
+    prog = compile_program(repro.load_program(LOOP))
+    a_in, b_done = threading.Event(), threading.Event()
+
+    def hold():  # B's body: wait until A is inside the guard too
+        assert a_in.wait(30)
+        return 0
+
+    def deep(n):  # A's body: recurse only once B has left the guard
+        a_in.set()
+        assert b_done.wait(30)
+        return prog.function("count")(n)
+
+    prog.namespace[_mangle("hold")] = hold
+    prog.namespace[_mangle("deep")] = deep
+    results = {}
+
+    def run_b():
+        results["b"] = prog.call("hold")
+        b_done.set()
+
+    def run_a():
+        try:
+            results["a"] = prog.call("deep", depth)
+        except RecursionError as exc:
+            results["a"] = exc
+
+    b = threading.Thread(target=run_b)
+    a = threading.Thread(target=run_a)
+    b.start()
+    a.start()
+    b.join(60)
+    a.join(60)
+    assert results == {"a": depth, "b": 0}
+    assert sys.getrecursionlimit() == before
+
+
+def test_nested_guards_restore_only_on_last_exit():
+    from repro.stackguard import deep_stack
+
+    before = sys.getrecursionlimit()
+    outer = deep_stack(limit=before + 100)
+    inner = deep_stack(limit=before + 500)
+    outer.__enter__()
+    inner.__enter__()
+    assert sys.getrecursionlimit() == before + 500
+    outer.__exit__(None, None, None)  # the first to enter leaves first
+    assert sys.getrecursionlimit() == before + 500
+    inner.__exit__(None, None, None)
+    assert sys.getrecursionlimit() == before
 
 
 # ---------------------------------------------------------------------------

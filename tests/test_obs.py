@@ -462,7 +462,7 @@ def test_well_known_counters_must_be_nonnegative_integers():
     assert validate_metrics(_metrics_doc({"speccache.hits": 3})) == []
     problems = validate_metrics(_metrics_doc({"speccache.hits": 1.5}))
     assert any("well-known" in p for p in problems)
-    problems = validate_metrics(_metrics_doc({"rtcg.lru_hits": -1}))
+    problems = validate_metrics(_metrics_doc({"speccache.evictions": -1}))
     assert any("well-known" in p for p in problems)
 
 

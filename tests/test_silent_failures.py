@@ -12,12 +12,13 @@ import pytest
 
 import repro
 from repro.api import BuildOptions, SpecOptions
-from repro.backend.tiers import TierPolicy, clear_tiers, load_compiled
+from repro.backend.tiers import TierPolicy, load_compiled
 from repro.obs import Obs
 from repro.pipeline import build as build_mod
 from repro.pipeline.build import build_dir
 from repro.pipeline.cache import ArtifactCache, CODE_KIND
 from repro.serve import ServeConfig, SpecServer
+from repro.speccache import STORE
 
 POWER = """\
 module Power where
@@ -192,16 +193,16 @@ class TestCodeDecodeMissAccounting:
         key = self._promoted_key(tmp_path)
         store = ArtifactCache(str(tmp_path))
         store.put_bytes(key, CODE_KIND, b"\x00garbage")
-        clear_tiers()
+        STORE.clear()
         events = []
         obs = Obs()
         obs.bus.subscribe(
             "tier.code_decode_miss", lambda kind, payload: events.append(payload)
         )
         fn = load_compiled(store, key, obs=obs)
-        # The fallback still works (recompiled from resid.py) but the
+        # The fallback still works (re-emitted from resid.json) but the
         # miss is visible.
-        assert fn is not None and fn.origin == "source"
+        assert fn is not None and fn.origin == "emitted"
         assert fn(3) == 243
         assert _counters(obs)["tier.code_decode_miss"] == 1
         assert len(events) == 1
@@ -215,21 +216,21 @@ class TestCodeDecodeMissAccounting:
         record["tag"] = "someone-elses-interpreter"
         del record["code"]
         store.put_bytes(key, CODE_KIND, marshal.dumps(record))
-        clear_tiers()
+        STORE.clear()
         events = []
         obs = Obs()
         obs.bus.subscribe(
             "tier.code_decode_miss", lambda kind, payload: events.append(payload)
         )
         fn = load_compiled(store, key, obs=obs)
-        assert fn is not None and fn.origin == "source"
+        assert fn is not None and fn.origin == "emitted"
         assert _counters(obs)["tier.code_decode_miss"] == 1
         assert "cache tag" in events[0]["reason"]
 
     def test_healthy_artifact_has_zero_misses(self, tmp_path):
         key = self._promoted_key(tmp_path)
         store = ArtifactCache(str(tmp_path))
-        clear_tiers()
+        STORE.clear()
         obs = Obs()
         fn = load_compiled(store, key, obs=obs)
         assert fn is not None and fn.origin == "code"

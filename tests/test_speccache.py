@@ -1,10 +1,10 @@
-"""The persistent residual cache and the RTCG callable LRU.
+"""The residual store: its ``resid.json`` entries and its LRU.
 
 Covers the warm-hit contract (byte-identical residual programs, no
 SpecState constructed), key invalidation (module source edits, keyed
 SpecOptions fields), execution knobs staying out of the key, corrupt
-entries degrading to misses, fsck integration, and the ``speccache.*``
-/ ``rtcg.lru_*`` accounting.
+entries degrading to misses, fsck integration, the ``speccache.*``
+accounting, and the LRU behind ``generate``'s compiled callables.
 """
 
 import json
@@ -14,13 +14,13 @@ import pytest
 
 import repro
 from repro.api import SpecOptions
-from repro.backend import generate, rtcg
+from repro.backend import generate
 from repro.obs import Obs
 from repro.pipeline.cache import RESID_KIND, ArtifactCache
 from repro.pipeline.faults import fsck_cache
 from repro.speccache import (
     SPECCACHE_SCHEMA,
-    SpecCache,
+    STORE,
     canonical_static_args,
     decode_result,
     encode_result,
@@ -39,14 +39,6 @@ module Power where
 
 power n x = if n == 1 then x else x + power (n - 1) x
 """
-
-
-@pytest.fixture(autouse=True)
-def _fresh_lru():
-    rtcg.clear_lru()
-    yield
-    rtcg.clear_lru()
-    rtcg.configure_lru(128)
 
 
 def _gp(source=POWER):
@@ -324,17 +316,16 @@ def test_payload_schema_marker():
 
 def test_speccache_is_shareable_across_instances(tmp_path):
     gp = _gp()
-    cache_a = SpecCache(str(tmp_path))
-    cache_b = SpecCache(str(tmp_path))
-    options = SpecOptions()
-    key = cache_a.key(gp.fingerprint(), "power", {"n": 3}, options)
+    disk_a = ArtifactCache(str(tmp_path))
+    disk_b = ArtifactCache(str(tmp_path))
+    key = residual_cache_key(gp.fingerprint(), "power", {"n": 3}, SpecOptions())
     result = repro.specialise(gp, "power", {"n": 3})
-    cache_a.put(key, encode_result(result))
-    assert cache_b.get(key) is not None
+    STORE.write(disk_a, key, encode_result(result))
+    assert STORE.read(disk_b, key) is not None
 
 
 # ---------------------------------------------------------------------------
-# The RTCG callable LRU.
+# The store's LRU, seen through generate's compiled callables.
 # ---------------------------------------------------------------------------
 
 
@@ -346,8 +337,8 @@ def test_generate_lru_hit_returns_the_same_callable():
     assert second is first
     assert second(5) == 125
     counters = obs.metrics.snapshot()["counters"]
-    assert counters["rtcg.lru_hits"] == 1
-    assert counters["rtcg.lru_misses"] == 1
+    assert counters["tier.memo_hits"] == 1
+    assert counters["tier.emitted"] == 1
 
 
 def test_generate_lru_distinguishes_requests():
@@ -356,33 +347,28 @@ def test_generate_lru_distinguishes_requests():
     square = generate(gp, "power", {"n": 2})
     assert cube is not square
     assert cube(2) == 8 and square(2) == 4
-    assert rtcg.lru_len() == 2
+    assert len(STORE) == 2
 
 
-def test_generate_lru_evicts_least_recent():
+def test_generate_lru_evicts_least_recent(monkeypatch):
     gp = _gp()
-    rtcg.configure_lru(2)
+    monkeypatch.setattr(STORE, "capacity", 2)
     a = generate(gp, "power", {"n": 2})
     b = generate(gp, "power", {"n": 3})
     assert generate(gp, "power", {"n": 2}) is a  # refresh a: b is now LRU
     c = generate(gp, "power", {"n": 4})  # evicts b
-    assert rtcg.lru_len() == 2
+    assert len(STORE) == 2
     assert generate(gp, "power", {"n": 2}) is a  # a survived
     assert generate(gp, "power", {"n": 4}) is c  # c survived
     assert generate(gp, "power", {"n": 3}) is not b  # b did not
 
 
-def test_generate_lru_capacity_zero_disables():
+def test_generate_lru_capacity_zero_disables(monkeypatch):
     gp = _gp()
-    rtcg.configure_lru(0)
+    monkeypatch.setattr(STORE, "capacity", 0)
     first = generate(gp, "power", {"n": 3})
     assert generate(gp, "power", {"n": 3}) is not first
-    assert rtcg.lru_len() == 0
-
-
-def test_configure_lru_rejects_negative():
-    with pytest.raises(ValueError):
-        rtcg.configure_lru(-1)
+    assert len(STORE) == 0
 
 
 def test_generate_lru_invalidated_by_source_edit():

@@ -1,12 +1,12 @@
 """The three-tier execution ladder (``repro.backend.tiers``).
 
-Covers: hotness-driven promotion, the persisted tier-2 artifacts
-(``resid.py`` + the cache-tag-keyed marshalled code object), the
-silent fallback chain (memo → code artifact → recompiled source →
-tier 1), cold-restart durability, warm-hit promotion from the
-specialise paths (batch driver and daemon), the serve daemon's ``run``
-op, fsck validation of the new artifact kinds, the decode memo, and
-the RTCG LRU metrics satellites.
+Covers: hotness-driven promotion, the persisted tier-2 artifact (the
+cache-tag-keyed marshalled code object beside ``resid.json``), the
+fallback chain (store entry → code artifact → re-emit from
+``resid.json`` → tier 1), cold-restart durability, warm-hit promotion
+from the specialise paths (batch driver and daemon), the serve
+daemon's ``run`` op, fsck over the tier-2 objects, decode-hit counting
+and the store's LRU metrics.
 """
 
 import json
@@ -22,15 +22,15 @@ from repro.backend.tiers import (
     TIER2_SCHEMA,
     TierLadder,
     TierPolicy,
-    clear_tiers,
-    emit_source,
     load_compiled,
     note_warm,
-    parse_source_header,
 )
 from repro.obs import Obs
-from repro.pipeline.cache import ArtifactCache, CODE_KIND, RESID_PY_KIND
-from repro.speccache import SpecCache, residual_cache_key
+from repro.pipeline.cache import ArtifactCache, CODE_KIND, RESID_KIND
+from repro.speccache import STORE, residual_cache_key
+
+# The emitted-source artifact kind older stores kept beside resid.json.
+LEFTOVER_SOURCE_KIND = "resid.py"
 
 POWER = """\
 module Power where
@@ -55,9 +55,7 @@ def _counters(obs):
 
 class TestPolicy:
     def test_defaults(self):
-        assert DEFAULT_TIER_POLICY == TierPolicy(
-            warm_after=1, hot_after=3, persist=True
-        )
+        assert DEFAULT_TIER_POLICY == TierPolicy(warm_after=1, hot_after=3)
 
     def test_rejects_negative_warm(self):
         with pytest.raises(ValueError):
@@ -152,24 +150,30 @@ class TestLadder:
         assert (run.tier, run.value) == (2, 8)
         key = ladder.key_for("power", {"n": 3})
         store = ArtifactCache(str(tmp_path))
-        assert store.has(key, RESID_PY_KIND)
+        assert store.has(key, RESID_KIND)
         assert store.has(key, CODE_KIND)
-        header = parse_source_header(store.get_text(key, RESID_PY_KIND))
-        assert header is not None and header[0] == "power"
+        assert not store.has(key, LEFTOVER_SOURCE_KIND)
         record = marshal.loads(store.get_bytes(key, CODE_KIND))
         assert record["schema"] == TIER2_SCHEMA
+        assert record["entry"] == "power"
 
-    def test_persist_false_keeps_promotion_process_local(self, gp, tmp_path):
-        options = SpecOptions(
-            cache_dir=str(tmp_path),
-            tier_policy=TierPolicy(hot_after=1, persist=False),
-        )
-        ladder = TierLadder(gp, options=options)
-        assert ladder.call("power", {"n": 3}, (2,)).tier == 2
-        key = ladder.key_for("power", {"n": 3})
-        store = ArtifactCache(str(tmp_path))
-        assert not store.has(key, RESID_PY_KIND)
-        assert not store.has(key, CODE_KIND)
+    def test_no_cache_dir_keeps_promotion_process_local(
+        self, gp, tmp_path, monkeypatch
+    ):
+        """Without a cache_dir a promotion lives only in the store
+        entry: nothing is written anywhere."""
+        monkeypatch.chdir(tmp_path)
+        obs = Obs()
+        events = []
+        obs.bus.subscribe("tier.promote", lambda n, p: events.append(p))
+        options = SpecOptions(tier_policy=TierPolicy(hot_after=1))
+        ladder = TierLadder(gp, options=options, obs=obs)
+        first = ladder.call("power", {"n": 3}, (2,))
+        assert (first.tier, first.origin) == (2, "emitted")
+        assert ladder.disk is None
+        assert [e["persisted"] for e in events] == [False]
+        assert ladder.call("power", {"n": 3}, (2,)).origin == "memo"
+        assert os.listdir(str(tmp_path)) == []
 
     def test_cold_restart_serves_from_persisted_artifact(self, gp, tmp_path):
         """The acceptance scenario: after a promotion, a fresh process
@@ -181,7 +185,7 @@ class TestLadder:
         )
         TierLadder(gp, options=options).call("power", {"n": 6}, (2,))
 
-        clear_tiers()  # the "restart"
+        STORE.clear()  # the "restart"
         obs = Obs()
         run = TierLadder(gp, options=options, obs=obs).call(
             "power", {"n": 6}, (2,)
@@ -190,8 +194,8 @@ class TestLadder:
         c = _counters(obs)
         assert c["tier.code_loads"] == 1
         assert "tier.emitted" not in c
-        assert "tier.source_compiles" not in c
         assert "spec.requests" not in c  # the specialiser never ran
+        assert "speccache.reads" not in c  # nor was resid.json read
         # The healthy artifact decoded first try: a decode miss here
         # would mean the restart silently repaired its own artifact.
         assert c.get("tier.code_decode_miss", 0) == 0
@@ -199,6 +203,9 @@ class TestLadder:
     def test_wrong_cache_tag_falls_back_to_source_and_self_heals(
         self, gp, tmp_path
     ):
+        """A foreign code record re-emits from the residual source in
+        resid.json (decoded through the store, no specialisation run)
+        and rewrites the code artifact for this interpreter."""
         options = SpecOptions(
             cache_dir=str(tmp_path), tier_policy=TierPolicy(hot_after=1)
         )
@@ -211,12 +218,16 @@ class TestLadder:
         del record["code"]  # a foreign code object would not unmarshal
         store.put_bytes(key, CODE_KIND, marshal.dumps(record))
 
-        clear_tiers()
+        STORE.clear()
         obs = Obs()
         fn = load_compiled(store, key, obs=obs)
-        assert fn is not None and fn.origin == "source"
+        assert fn is not None and fn.origin == "emitted"
         assert fn(2) == 32
-        assert _counters(obs)["tier.source_compiles"] == 1
+        c = _counters(obs)
+        assert c["tier.code_decode_miss"] == 1
+        assert c["tier.emitted"] == 1
+        assert c["speccache.hits"] == 1
+        assert "spec.requests" not in c  # decoded, not re-specialised
         # Self-heal republished a loadable code artifact.
         obs2 = Obs()
         again = load_compiled(store, key, obs=obs2)
@@ -231,18 +242,27 @@ class TestLadder:
         key = ladder.key_for("power", {"n": 5})
         store = ArtifactCache(str(tmp_path))
         store.put_bytes(key, CODE_KIND, b"\x00garbage")
-        clear_tiers()
+        STORE.clear()
         fn = load_compiled(store, key)
-        assert fn is not None and fn.origin == "source"
+        assert fn is not None and fn.origin == "emitted"
         assert fn(3) == 243
+
+    def test_corrupt_code_without_resid_json_is_a_miss(self, tmp_path):
+        store = ArtifactCache(str(tmp_path))
+        store.put_bytes("6" * 64, CODE_KIND, b"\x00garbage")
+        obs = Obs()
+        assert load_compiled(store, "6" * 64, obs=obs) is None
+        assert _counters(obs)["tier.code_decode_miss"] == 1
 
     def test_both_artifacts_missing_is_a_clean_miss(self, gp, tmp_path):
         store = ArtifactCache(str(tmp_path))
         assert load_compiled(store, "0" * 64) is None
 
     def test_headerless_source_is_a_miss(self, gp, tmp_path):
+        """A leftover emitted source is never read: without a code
+        artifact the key is a miss."""
         store = ArtifactCache(str(tmp_path))
-        store.put_text("1" * 64, RESID_PY_KIND, "x = 1\n")
+        store.put_text("1" * 64, LEFTOVER_SOURCE_KIND, "x = 1\n")
         assert load_compiled(store, "1" * 64) is None
 
     def test_ladder_matches_interpreter_on_tuples(self, tmp_path):
@@ -260,14 +280,18 @@ class TestLadder:
             run = ladder.call("rep", {"n": 3}, (7,), tier=tier)
             assert run.value == (7, 7, 7)
 
-    def test_emit_source_header_round_trips(self, gp):
-        from repro.genext.engine import specialise
+    def test_generate_and_forced_tier2_share_one_callable(self, gp):
+        """rtcg.generate is a view of the ladder's tier-2 rung: both
+        reach one store entry, so the residual is emitted once."""
+        from repro.backend import generate
 
-        result = specialise(gp, "power", {"n": 3})
-        text, entry_py = emit_source(result)
-        assert parse_source_header(text) == (
-            "power", entry_py, tuple(result.dynamic_params)
-        )
+        obs = Obs()
+        ladder = TierLadder(gp, obs=obs)
+        run = ladder.call("power", {"n": 3}, (2,), tier=2)
+        fn = generate(gp, "power", {"n": 3}, obs=obs)
+        assert run.value == fn(2) == 8
+        assert fn is STORE.compiled(ladder.key_for("power", {"n": 3}))
+        assert _counters(obs)["tier.emitted"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +307,7 @@ class TestNoteWarm:
         options = SpecOptions(
             cache_dir=str(tmp_path), tier_policy=TierPolicy(hot_after=2)
         )
-        cache = SpecCache(str(tmp_path))
+        disk = ArtifactCache(str(tmp_path))
         result = specialise(gp, "power", {"n": 3}, options)
         payload = encode_result(result)
         key = residual_cache_key(
@@ -291,14 +315,14 @@ class TestNoteWarm:
         )
         obs = Obs()
         first = note_warm(
-            cache, key, "power", options, obs=obs, payload=payload
+            disk, key, "power", options, obs=obs, payload=payload
         )
         assert first is None  # count 1 < hot_after 2
         second = note_warm(
-            cache, key, "power", options, obs=obs, payload=payload
+            disk, key, "power", options, obs=obs, payload=payload
         )
         assert second is not None and second(2) == 8
-        assert cache.store.has(key, CODE_KIND)
+        assert disk.has(key, CODE_KIND)
         assert _counters(obs)["tier.promotions"] == 1
 
     def test_batch_warm_path_promotes(self, gp, tmp_path):
@@ -515,32 +539,28 @@ class TestFsckTierArtifacts:
         assert not store.has("2" * 64, CODE_KIND)  # quarantined anyway
 
     def test_headerless_resid_py_is_stale(self, tmp_path):
-        from repro.pipeline.faults import fsck_cache
+        """A ``resid.py`` left by an older store is reported as stale
+        (it is dead weight, nothing reads it), never as a corrupt
+        unknown kind — and a stale finding still fails the exit code."""
+        from repro.pipeline.faults import EXIT_CORRUPT, fsck_cache
 
         store = ArtifactCache(str(tmp_path))
-        store.put_text("3" * 64, RESID_PY_KIND, "x = 1\n")
+        name = "3" * 64 + "." + LEFTOVER_SOURCE_KIND
+        store.put_text("3" * 64, LEFTOVER_SOURCE_KIND, "x = 1\n")
         report = fsck_cache(store)
-        assert not report.ok
-        assert ["3" * 64 + "." + RESID_PY_KIND] == [
-            n for n, _ in report.stale
-        ]
-        assert "tier-2 header" in report.stale[0][1]
-
-    def test_syntactically_broken_resid_py_is_corrupt(self, tmp_path):
-        from repro.pipeline.faults import fsck_cache
-
-        store = ArtifactCache(str(tmp_path))
-        store.put_text("4" * 64, RESID_PY_KIND, "def broken(:\n")
-        report = fsck_cache(store)
-        reasons = dict(report.quarantined)
-        name = "4" * 64 + "." + RESID_PY_KIND
-        assert "does not compile" in reasons[name]
+        assert not report.quarantined
+        assert [n for n, _ in report.stale] == [name]
+        assert "unknown artifact kind" not in report.stale[0][1]
+        assert report.exit_code == EXIT_CORRUPT
+        assert not store.has("3" * 64, LEFTOVER_SOURCE_KIND)
+        # Once quarantined, the store is clean again.
+        assert fsck_cache(store).exit_code == 0
 
     def test_render_and_dict_include_stale(self, tmp_path):
         from repro.pipeline.faults import fsck_cache
 
         store = ArtifactCache(str(tmp_path))
-        store.put_text("5" * 64, RESID_PY_KIND, "x = 1\n")
+        store.put_text("5" * 64, LEFTOVER_SOURCE_KIND, "x = 1\n")
         report = fsck_cache(store)
         assert "stale" in report.render()
         doc = report.as_dict()
@@ -548,57 +568,59 @@ class TestFsckTierArtifacts:
 
 
 # ---------------------------------------------------------------------------
-# Satellites: the decode memo and the RTCG LRU metrics
+# Decode-hit counting and the store's LRU metrics
 # ---------------------------------------------------------------------------
 
 
 class TestDecodeMemo:
     def test_repeat_decodes_hit_the_memo(self, gp):
         from repro.genext.engine import specialise
-        from repro.speccache import decode_result, encode_result
+        from repro.speccache import encode_result
 
         result = specialise(gp, "power", {"n": 3})
         payload = encode_result(result)
+        key = residual_cache_key(
+            gp.fingerprint(), "power", {"n": 3}, SpecOptions()
+        )
         obs = Obs()
-        first = decode_result(payload, obs=obs)
-        second = decode_result(payload, obs=obs)
+        first = STORE.decode(key, payload, obs=obs)
+        second = STORE.decode(key, payload, obs=obs)
         c = _counters(obs)
         assert c["speccache.decode_misses"] == 1
         assert c["speccache.decode_hits"] == 1
         # Decoded programs are shared, results are fresh wrappers.
         assert first.program is second.program
+        assert first is not second
         assert first.run(2) == second.run(2) == 8
 
     def test_distinct_payloads_miss(self, gp):
         from repro.genext.engine import specialise
-        from repro.speccache import decode_result, encode_result
+        from repro.speccache import encode_result
 
         obs = Obs()
         for n in (2, 3):
             result = specialise(gp, "power", {"n": n})
-            decode_result(encode_result(result), obs=obs)
+            key = residual_cache_key(
+                gp.fingerprint(), "power", {"n": n}, SpecOptions()
+            )
+            STORE.decode(key, encode_result(result), obs=obs)
         c = _counters(obs)
         assert c["speccache.decode_misses"] == 2
         assert "speccache.decode_hits" not in c
 
 
 class TestRtcgLruMetrics:
-    def test_evictions_counted_and_length_gauged(self, gp):
-        import repro.backend.rtcg as rtcg
+    def test_evictions_counted_and_length_gauged(self, gp, monkeypatch):
+        from repro.backend import generate
 
-        rtcg.clear_lru()
-        rtcg.configure_lru(2)
-        try:
-            obs = Obs()
-            for n in (2, 3, 4):
-                rtcg.generate(gp, "power", {"n": n}, obs=obs)
-            snap = obs.metrics.snapshot()
-            assert snap["counters"]["rtcg.lru_evictions"] == 1
-            assert snap["gauges"]["rtcg.lru_len"] == 2
-            assert rtcg.lru_len() == 2
-        finally:
-            rtcg.configure_lru(128)
-            rtcg.clear_lru()
+        monkeypatch.setattr(STORE, "capacity", 2)
+        obs = Obs()
+        for n in (2, 3, 4):
+            generate(gp, "power", {"n": n}, obs=obs)
+        snap = obs.metrics.snapshot()
+        assert snap["counters"]["speccache.evictions"] == 1
+        assert snap["gauges"]["speccache.lru_len"] == 2
+        assert len(STORE) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +662,7 @@ class TestCli:
         ]
         assert main(args) == 0
         capsys.readouterr()
-        clear_tiers()  # fresh process stand-in
+        STORE.clear()  # fresh process stand-in
         assert main(args) == 0
         out, err = capsys.readouterr()
         assert out.strip() == "32"
